@@ -16,7 +16,13 @@ from .energy import (
     PowerModel,
     fit_power_model,
 )
-from .imprecision import Labeling, effective_workloads, format_labeling, imp_label
+from .imprecision import (
+    Labeling,
+    LabelingError,
+    effective_workloads,
+    format_labeling,
+    imp_label,
+)
 from .listsched import Assignment, format_assignment
 from .lp import write_lp_file
 from .schedlp import Schedule, build_baseline_lp, build_min_energy_lp, build_qos_lp
@@ -279,6 +285,13 @@ def parse_schedule(text: str):
 
     if None in (mode, eps_max, procs, energy, qos_val, makespan):
         raise GraphFormatError(1, "schedule file is missing header fields")
+    per_task = {"assign": assign, "start": start, "dur": dur}
+    if has_labels:
+        per_task["label"] = extended
+    tasks = set().union(*per_task.values())
+    for kind, seen in per_task.items():
+        if missing := sorted(tasks - set(seen)):
+            raise GraphFormatError(1, f"schedule file has no {kind!r} line for task {missing[0]}")
     n_procs = max((k for k, _ in assign.values()), default=-1) + 1
     n_procs = max(n_procs, procs)
     order = [[] for _ in range(n_procs)]
@@ -463,13 +476,20 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     g = normalize_source(_read_graph(args.graph))
     platform = _platform_from(args)
-    mode, eps_max, procs, labeling, asg, sched = parse_schedule(
-        Path(args.schedule).read_text()
-    )
+    try:
+        text = Path(args.schedule).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read schedule {args.schedule!r}: {exc}")
+    mode, eps_max, procs, labeling, asg, sched = parse_schedule(text)
+    if set(sched.start) != set(g.tasks):
+        raise UsageError("schedule tasks differ from the graph's tasks")
     if mode == "proposed":
         if labeling is None:
             raise UsageError("proposed schedule file lacks label lines")
-        wl = effective_workloads(g, labeling)
+        try:
+            wl = effective_workloads(g, labeling)
+        except LabelingError as exc:
+            raise UsageError(f"schedule labels do not fit the graph: {exc}")
         contract = WorkloadContract.from_labeling(g, wl)
     elif mode == "baseline":
         contract = WorkloadContract.baseline(g)

@@ -1,10 +1,13 @@
 """Linear-program container and a self-contained bounded-variable simplex solver.
 
-The solver is a dense two-phase revised simplex with an explicitly maintained
-basis inverse, Dantzig pricing with a Bland fallback for anti-cycling, and
-power-of-two equilibration so cycle counts (~1e6) and seconds (~1e-3) coexist
-in one tableau. Solutions are re-checked against the original data before
-being reported; numerical trouble is surfaced as a status, never silently.
+The solver is a dense two-phase revised simplex, Dantzig pricing with a Bland
+fallback for anti-cycling, and power-of-two equilibration so cycle counts
+(~1e6) and seconds (~1e-3) coexist in one tableau. The basis inverse is kept
+in product form: a dense inverse of the basis at the last refactorization
+times an eta file of rank-1 pivot updates, so a pivot costs O(m*k) for k
+updates instead of rewriting an m x m matrix. Solutions are re-checked
+against the original data before being reported; numerical trouble is
+surfaced as a status, never silently.
 
 Dual conventions (reduced cost rc = c - A^T y):
   min: '<=' rows carry y <= 0, '>=' rows y >= 0; x at lower bound -> rc >= 0,
@@ -160,6 +163,10 @@ class LPSolution:
     reduced_costs: dict[str, float]
     iterations: int
     message: str = ""
+    refactors: int = 0
+    # largest violation of the original rows and bounds (max_violation);
+    # None when the solution was not re-checked
+    violation: float | None = None
 
     @property
     def optimal(self) -> bool:
@@ -233,7 +240,13 @@ def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Simplex:
-    """Two-phase bounded-variable simplex on pre-scaled dense data."""
+    """Two-phase bounded-variable simplex on pre-scaled dense data (nr >= 1).
+
+    B^-1 = (I + P Q^T) B0^-1, where B0^-1 is the dense inverse taken at the
+    last refactorization and the k columns of P and Q (stored as the first k
+    rows of eta_p and eta_q) hold one rank-1 update per pivot since then.
+    The file holds REFACTOR_EVERY updates; filling it forces a refactor.
+    """
 
     PIV_TOL = 1e-9
     RATIO_TOL = 1e-9
@@ -245,14 +258,16 @@ class _Simplex:
         slack_lo = np.array([0.0 if s == LE else (-INF if s == GE else 0.0) for s in senses])
         slack_hi = np.array([INF if s == LE else (0.0 if s == GE else 0.0) for s in senses])
         self.ncols = nv + nr
-        self.A = np.hstack([A, np.eye(nr)]) if nr else A.reshape(0, nv)
+        self.A = np.hstack([A, np.eye(nr)])
         self.b = b.astype(float)
         self.lo = np.concatenate([lo, slack_lo])
         self.hi = np.concatenate([hi, slack_hi])
         self.c_min = c_min
         self.n_art = 0
         self.iterations = 0
-        self.message = ""
+        self.refactors = 0
+        self.eta_p = np.empty((self.REFACTOR_EVERY, nr))
+        self.eta_q = np.empty((self.REFACTOR_EVERY, nr))
 
     def _init_basis(self):
         nr, nv, ncols = self.nr, self.nv, self.ncols
@@ -271,7 +286,7 @@ class _Simplex:
                 vstat[j] = 1
             else:
                 vstat[j] = 3
-        r = self.b - self.A[:, :nv] @ x[:nv] if nr else np.zeros(0)
+        r = self.b - self.A[:, :nv] @ x[:nv]
         basis = np.empty(nr, dtype=np.int64)
         diag = np.ones(nr)
         art_rows: list[tuple[int, float, float]] = []
@@ -304,34 +319,70 @@ class _Simplex:
         self.x = x
         self.vstat = vstat
         self.basis = basis
-        self.B_inv = np.diag(diag) if nr else np.zeros((0, 0))
+        self.B0_inv = np.diag(diag)
+        self.n_eta = 0
         self.in_basis = np.zeros(self.total, dtype=bool)
         self.in_basis[basis] = True
 
     def _refactor(self):
-        if self.nr == 0:
-            return
         B = self.A[:, self.basis]
         try:
-            self.B_inv = np.linalg.inv(B)
+            self.B0_inv = np.linalg.inv(B)
         except np.linalg.LinAlgError:
             raise _NumericalTrouble("singular basis during refactorization")
+        self.n_eta = 0
+        self.refactors += 1
         xn = self.x.copy()
         xn[self.basis] = 0.0
-        self.x[self.basis] = self.B_inv @ (self.b - self.A @ xn)
+        self.x[self.basis] = self.B0_inv @ (self.b - self.A @ xn)
+
+    def _ftran(self, a):
+        """B^-1 a."""
+        v = self.B0_inv @ a
+        k = self.n_eta
+        if k:
+            v += (self.eta_q[:k] @ v) @ self.eta_p[:k]
+        return v
+
+    def _btran(self, u):
+        """u B^-1 (u indexed by basis position)."""
+        k = self.n_eta
+        if k:
+            u = u + (self.eta_p[:k] @ u) @ self.eta_q[:k]
+        return u @ self.B0_inv
+
+    def _pivot(self, r, q, w):
+        """Make column q basic in row r, given w = B^-1 A[:, q].
+
+        The caller has already moved the leaving variable to its bound. The
+        new inverse is (I + p e_r^T) B^-1, which appends p and
+        q' = e_r + Q P[r, :]^T to the eta file.
+        """
+        k = self.n_eta
+        p = self.eta_p[k]
+        np.divide(w, -w[r], out=p)
+        p[r] = 1.0 / w[r] - 1.0
+        self.eta_q[k] = self.eta_p[:k, r] @ self.eta_q[:k]
+        self.eta_q[k, r] += 1.0
+        self.n_eta = k + 1
+        leaving = int(self.basis[r])
+        self.basis[r] = q
+        self.vstat[q] = 2
+        self.in_basis[leaving] = False
+        self.in_basis[q] = True
+        if self.n_eta == self.REFACTOR_EVERY:
+            self._refactor()
 
     def _iterate(self, c, fixed, maxiter):
-        nr = self.nr
         tol_d = 1e-9 * max(1.0, float(np.abs(c).max(initial=0.0)))
         bland = False
         degen = 0
-        since_refactor = 0
         while True:
             if self.iterations >= maxiter:
                 return "iteration_limit"
             self.iterations += 1
-            y = c[self.basis] @ self.B_inv if nr else np.zeros(0)
-            d = c - (y @ self.A if nr else 0.0)
+            y = self._btran(c[self.basis])
+            d = c - y @ self.A
             can = ~self.in_basis & ~fixed
             up = can & (d < -tol_d) & ((self.vstat == 0) | (self.vstat == 3))
             down = can & (d > tol_d) & ((self.vstat == 1) | (self.vstat == 3))
@@ -344,7 +395,7 @@ class _Simplex:
                 q = int(np.argmax(viol))
             sigma = 1.0 if up[q] else -1.0
 
-            w = self.B_inv @ self.A[:, q] if nr else np.zeros(0)
+            w = self._ftran(self.A[:, q])
             delta = sigma * w
             xB = self.x[self.basis]
             loB = self.lo[self.basis]
@@ -353,15 +404,14 @@ class _Simplex:
                 t_lo = np.where(delta > self.PIV_TOL, (xB - loB) / delta, INF)
                 t_hi = np.where(delta < -self.PIV_TOL, (hiB - xB) / (-delta), INF)
             t_arr = np.maximum(np.minimum(t_lo, t_hi), 0.0)
-            t_basic = float(t_arr.min()) if nr else INF
+            t_basic = float(t_arr.min())
             t_range = self.hi[q] - self.lo[q]
             if not np.isfinite(min(t_basic, t_range)):
                 return "unbounded"
 
             if t_range <= t_basic + self.RATIO_TOL:
                 # entering variable flips to its opposite bound, basis unchanged
-                if nr:
-                    self.x[self.basis] = xB - t_range * delta
+                self.x[self.basis] = xB - t_range * delta
                 self.x[q] += sigma * t_range
                 self.vstat[q] = 1 - self.vstat[q]
                 step = t_range
@@ -373,7 +423,6 @@ class _Simplex:
                     rsel = int(cand[np.argmax(np.abs(delta[cand]))])
                 if abs(w[rsel]) < 1e-11:
                     self._refactor()
-                    since_refactor = 0
                     continue
                 t = float(t_arr[rsel])
                 self.x[self.basis] = xB - t * delta
@@ -385,18 +434,7 @@ class _Simplex:
                 else:
                     self.x[leaving] = self.hi[leaving]
                     self.vstat[leaving] = 1
-                self.basis[rsel] = q
-                self.vstat[q] = 2
-                self.in_basis[leaving] = False
-                self.in_basis[q] = True
-                piv = w[rsel]
-                self.B_inv[rsel, :] /= piv
-                other = np.arange(nr) != rsel
-                self.B_inv[other, :] -= np.outer(w[other], self.B_inv[rsel, :])
-                since_refactor += 1
-                if since_refactor >= self.REFACTOR_EVERY:
-                    self._refactor()
-                    since_refactor = 0
+                self._pivot(rsel, q, w)
                 step = t
 
             if step < 1e-12:
@@ -412,29 +450,24 @@ class _Simplex:
         for i in range(self.nr):
             if self.basis[i] < self.ncols:
                 continue
-            row = self.B_inv[i] @ self.A[:, : self.ncols]
+            e_i = np.zeros(self.nr)
+            e_i[i] = 1.0
+            row = self._btran(e_i) @ self.A[:, : self.ncols]
             cand = np.nonzero(
                 (np.abs(row) > 1e-7) & ~self.in_basis[: self.ncols] & ~fixed[: self.ncols]
             )[0]
             if len(cand) == 0:
                 continue
             q = int(cand[0])
-            w = self.B_inv @ self.A[:, q]
             leaving = int(self.basis[i])
-            self.basis[i] = q
-            self.in_basis[leaving] = False
-            self.in_basis[q] = True
-            self.vstat[q] = 2
             self.vstat[leaving] = 0
             self.x[leaving] = 0.0
-            self.B_inv[i, :] /= w[i]
-            other = np.arange(self.nr) != i
-            self.B_inv[other, :] -= np.outer(w[other], self.B_inv[i, :])
+            self._pivot(i, q, self._ftran(self.A[:, q]))
 
     def _iterate_polished(self, c, fixed, maxiter):
         """Run to optimality, refactor, and re-price until stable.
 
-        The incremental basis-inverse updates drift; a refactorization can
+        The product-form updates drift; a refactorization can
         reopen a few pivots, so iterate until a fresh factorization agrees.
         """
         for _ in range(8):
@@ -476,8 +509,7 @@ class _Simplex:
             return "numerical", None, None
         if status == "unbounded":
             return "unbounded", None, None
-        y = c2[self.basis] @ self.B_inv if self.nr else np.zeros(0)
-        return "optimal", self.x[: self.nv].copy(), y.copy()
+        return "optimal", self.x[: self.nv].copy(), self._btran(c2[self.basis])
 
 
 class _NumericalTrouble(RuntimeError):
@@ -547,8 +579,12 @@ def solve_lp(problem, lower=None, upper=None) -> LPSolution:
         return LPSolution("numerical", None, {}, {}, {}, 0, str(exc))
 
     if status != "optimal":
-        return LPSolution(status, None, {}, {}, {}, core.iterations)
+        return LPSolution(status, None, {}, {}, {}, core.iterations, refactors=core.refactors)
 
+    # the ratio test tolerates basics up to FEAS_TOL past a bound; put them
+    # on it, or a column scale of 2^10 inflates that slack past the re-check
+    xs = np.where((xs < los) & (xs >= los - FEAS_TOL), los, xs)
+    xs = np.where((xs > his) & (xs <= his + FEAS_TOL), his, xs)
     x = xs * C
     # independent re-check against the original (unscaled) data
     viol = max_violation(comp, x, lo, hi)
@@ -561,6 +597,8 @@ def solve_lp(problem, lower=None, upper=None) -> LPSolution:
             {},
             core.iterations,
             f"solution violates original rows by {viol:.2e}",
+            refactors=core.refactors,
+            violation=viol,
         )
 
     y_min = ys * R
@@ -570,7 +608,10 @@ def solve_lp(problem, lower=None, upper=None) -> LPSolution:
     values = {n: float(x[j]) for j, n in enumerate(comp.var_names)}
     duals = {n: float(y_user[i]) for i, n in enumerate(comp.row_names)}
     rcs = {n: float(rc_user[j]) for j, n in enumerate(comp.var_names)}
-    return LPSolution("optimal", obj, values, duals, rcs, core.iterations)
+    return LPSolution(
+        "optimal", obj, values, duals, rcs, core.iterations,
+        refactors=core.refactors, violation=viol,
+    )
 
 
 def _lp_safe(name: str) -> str:

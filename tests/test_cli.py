@@ -92,6 +92,42 @@ class TestScheduleVerify:
     def test_infeasible_exit_code(self, graph_file):
         assert run(f"schedule {graph_file} --eps-max 1e-9") == 2
 
+    def test_missing_schedule_file(self, graph_file, tmp_path, capsys):
+        assert run(f"verify {graph_file} {tmp_path / 'absent.txt'}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read schedule") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["start", "dur", "assign", "label"])
+    def test_incomplete_schedule(self, graph_file, tmp_path, capsys, kind):
+        sched_file = tmp_path / "sched.txt"
+        assert run(f"schedule {graph_file} --eps-ratio 0.9 --out {sched_file}") == 0
+        lines = sched_file.read_text().splitlines()
+        dropped = next(i for i, line in enumerate(lines) if line.startswith(kind + " "))
+        task = lines.pop(dropped).split()[1]
+        sched_file.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(f"verify {graph_file} {sched_file}") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: line 1: schedule file has no {kind!r} line for task {task}\n"
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            (" t00 ", " tXX ", "schedule tasks differ from the graph's tasks"),
+            ("label t00 precise=1", "label t00 precise=-", "schedule labels do not fit"),
+        ],
+    )
+    def test_schedule_not_of_this_graph(self, graph_file, tmp_path, capsys, old, new, message):
+        sched_file = tmp_path / "sched.txt"
+        assert run(f"schedule {graph_file} --eps-ratio 0.9 --out {sched_file}") == 0
+        text = sched_file.read_text()
+        assert old in text
+        sched_file.write_text(text.replace(old, new))
+        capsys.readouterr()
+        assert run(f"verify {graph_file} {sched_file}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     def test_baseline_and_milp_commands(self, tmp_path, capsys):
         out = tmp_path / "g"
         assert run(f"generate --n 5 --count 1 --regime man_mixed --seed 7 --out {out}") == 0

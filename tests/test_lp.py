@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from impsched import sweep
 from impsched.lp import (
     EQ,
+    FEAS_TOL,
     GE,
     INF,
     LE,
     LinearProgram,
+    _equilibrate,
+    _Simplex,
     max_violation,
     solve_lp,
     write_lp_file,
 )
+from impsched.taskgraph import GeneratorParams, generate_random_graph
 from oracles import dual_certificate_ok
 
 
@@ -274,3 +279,128 @@ class TestExport:
         assert "Maximize" in text and "Subject To" in text
         assert "Binary" in text and "End" in text
         assert "[" not in text.replace("\\", "")  # names sanitized
+
+
+def scheduling_lps(n):
+    """The min-energy, QoS and baseline LPs the pipeline solves for one
+    man_low graph (seed 7), compiled; the QoS LP at 0.8 eps* and the
+    baseline LP at 0.9 eps*, budgets that bind at n = 10, 38 and 80."""
+    captured = []
+
+    def capture(problem, *args, **kwargs):
+        captured.append(problem.compile())
+        return solve_lp(problem, *args, **kwargs)
+
+    g = generate_random_graph(GeneratorParams(n_tasks=n, mandatory_regime="man_low", seed=7))
+    platform = sweep.default_platform()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "solve_lp", capture)
+        star, _, _ = sweep.epsilon_star(g, platform)
+        assert sweep.run_proposed(g, platform, 0.8 * star).feasible
+        assert sweep.run_baseline(g, platform, 0.9 * star).feasible
+    return captured
+
+
+def equilibrated(comp):
+    """(A, b, c, lo, hi) as solve_lp hands them to the core: power-of-two
+    scaled, objective in min sense."""
+    R, C = _equilibrate(comp.A)
+    c = (-comp.c if comp.maximize else comp.c) * C
+    return comp.A * R[:, None] * C[None, :], comp.b * R, c, comp.lo / C, comp.hi / C
+
+
+def assert_inverse_matches(core):
+    """FTRAN and BTRAN through the eta file agree with a fresh solve."""
+    B = core.A[:, core.basis]
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        a = rng.normal(size=core.nr)
+        ref = np.linalg.solve(B, a)
+        np.testing.assert_allclose(core._ftran(a), ref, rtol=0, atol=1e-9 * np.abs(ref).max())
+        ref = np.linalg.solve(B.T, a)
+        np.testing.assert_allclose(core._btran(a), ref, rtol=0, atol=1e-9 * np.abs(ref).max())
+
+
+class TestEtaFile:
+    def test_matches_solve_past_a_full_eta_file(self, monkeypatch):
+        pivots = []
+        pivot = _Simplex._pivot
+
+        def counting(self, r, q, w):
+            pivots.append(q)
+            pivot(self, r, q, w)
+
+        monkeypatch.setattr(_Simplex, "_pivot", counting)
+        comp = scheduling_lps(38)[0]
+        A, b, c, lo, hi = equilibrated(comp)
+        core = _Simplex(A, b, comp.senses, c, lo, hi)
+        # stop mid-run: the iteration limit leaves the core as it stood
+        core.solve(maxiter=_Simplex.REFACTOR_EVERY + 60)
+        assert len(pivots) > _Simplex.REFACTOR_EVERY
+        assert core.refactors >= 1 and 0 < core.n_eta < _Simplex.REFACTOR_EVERY
+        assert_inverse_matches(core)
+
+    def test_drive_out_with_redundant_equality_row(self, monkeypatch):
+        # z is fixed at 0, so row b's artificial ties with row a's when x
+        # enters and ends phase 1 basic at zero; row c repeats row a
+        seen = []
+        drive_out = _Simplex._drive_out_artificials
+
+        def recording(self, fixed):
+            before = int((self.basis >= self.ncols).sum())
+            drive_out(self, fixed)
+            seen.append((before, int((self.basis >= self.ncols).sum()), self.n_eta))
+            assert_inverse_matches(self)
+
+        monkeypatch.setattr(_Simplex, "_drive_out_artificials", recording)
+        lp = LinearProgram()
+        lp.add_var("x", 0, 10)
+        lp.add_var("y", 0, 10)
+        lp.add_var("z", 0, 0)
+        lp.add_row("a", {"x": 1.0, "y": 1.0}, EQ, 2.0)
+        lp.add_row("b", {"x": 1.0, "z": 1.0}, EQ, 2.0)
+        lp.add_row("c", {"x": 2.0, "y": 2.0}, EQ, 4.0)
+        lp.set_objective("max", {"y": 1.0})
+        sol = solve_lp(lp)
+        assert sol.optimal and sol.objective == pytest.approx(0.0, abs=1e-12)
+        assert sol.values["x"] == pytest.approx(2.0)
+        # one artificial pivoted out, the redundant row's stays basic
+        assert seen == [(2, 1, 1)]
+
+
+class TestSolutionCounters:
+    def test_refactors_and_violation_reported(self):
+        lp = random_lp(np.random.default_rng(16))
+        comp = lp.compile()
+        sol = solve_lp(comp)
+        assert sol.optimal
+        assert sol.refactors >= 1  # phase 2 ends on a fresh factorization
+        x = np.array([sol.values[n] for n in comp.var_names])
+        assert sol.violation == max_violation(comp, x)
+        assert 0.0 <= sol.violation <= 10 * FEAS_TOL
+        infeasible = solve_lp(random_lp(np.random.default_rng(16), feasible=False))
+        assert infeasible.status == "infeasible" and infeasible.violation is None
+
+
+class TestSchedulingLPsAgainstHighs:
+    @pytest.mark.parametrize("n", [10, 38, 80])
+    def test_objectives_match_highs(self, n):
+        for comp in scheduling_lps(n):
+            sol = solve_lp(comp)
+            assert sol.optimal
+            A, b, c, lo, hi = equilibrated(comp)
+            senses = np.array(comp.senses)
+            le, ge, eq = senses == LE, senses == GE, senses == EQ
+            res = linprog(
+                c,
+                A_ub=np.vstack([A[le], -A[ge]]),
+                b_ub=np.concatenate([b[le], -b[ge]]),
+                A_eq=A[eq],
+                b_eq=b[eq],
+                bounds=list(zip(lo, np.where(np.isfinite(hi), hi, None))),
+                method="highs",
+                options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+            )
+            assert res.status == 0, res.message
+            ref = (-res.fun if comp.maximize else res.fun) + comp.constant
+            assert sol.objective == pytest.approx(ref, rel=1e-9)

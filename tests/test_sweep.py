@@ -159,3 +159,16 @@ class TestMethodRunners:
         star, _, _ = epsilon_star(g, platform4)
         out = run_proposed(g, platform4, star)
         assert out.runtime > 0
+
+    @pytest.mark.parametrize(
+        "regime,n,seed", [("man_high", 44, 246643601), ("man_mixed", 60, 15)]
+    )
+    def test_baseline_at_eps_star_passes_recheck(self, platform4, regime, n, seed):
+        # the optimal basis leaves an N[u, k] about 1e-7 below zero in scaled
+        # units, which its column scale of 2^10 pushes past the re-check
+        g = generate_random_graph(
+            GeneratorParams(n_tasks=n, mandatory_regime=regime, seed=seed)
+        )
+        star, _, _ = epsilon_star(g, platform4)
+        out = run_baseline(g, platform4, star)
+        assert out.feasible and out.qos == pytest.approx(1.0)
