@@ -221,6 +221,13 @@ def format_schedule(
     return "\n".join(lines) + "\n"
 
 
+def _finite(token: str) -> float:
+    value = float(token)
+    if not abs(value) < float("inf"):  # also rejects nan
+        raise ValueError(f"{token!r} is not a finite number")
+    return value
+
+
 def parse_schedule(text: str):
     """Returns (mode, eps_max, procs, labeling|None, assignment, schedule)."""
     mode = None
@@ -230,6 +237,7 @@ def parse_schedule(text: str):
     extended: dict[str, bool] = {}
     has_labels = False
     assign: dict[str, tuple[int, int]] = {}
+    assign_line: dict[str, int] = {}
     start: dict[str, float] = {}
     dur: dict[str, float] = {}
     cycles: dict[tuple[str, int], float] = {}
@@ -248,7 +256,7 @@ def parse_schedule(text: str):
             elif toks[0] == "mode":
                 mode = toks[1]
             elif toks[0] == "eps_max":
-                eps_max = float(toks[1])
+                eps_max = _finite(toks[1])
             elif toks[0] == "procs":
                 procs = int(toks[1])
             elif toks[0] == "label":
@@ -264,20 +272,21 @@ def parse_schedule(text: str):
                 k = int(toks[2].split("=", 1)[1])
                 slot = int(toks[3].split("=", 1)[1])
                 assign[u] = (k, slot)
+                assign_line[u] = line_no
             elif toks[0] == "start":
-                start[toks[1]] = float(toks[2])
+                start[toks[1]] = _finite(toks[2])
             elif toks[0] == "dur":
-                dur[toks[1]] = float(toks[2])
+                dur[toks[1]] = _finite(toks[2])
             elif toks[0] == "cycles":
-                cycles[(toks[1], int(toks[2]))] = float(toks[3])
+                cycles[(toks[1], int(toks[2]))] = _finite(toks[3])
             elif toks[0] == "opt":
-                opt[toks[1]] = float(toks[2])
+                opt[toks[1]] = _finite(toks[2])
             elif toks[0] == "energy":
-                energy = float(toks[1])
+                energy = _finite(toks[1])
             elif toks[0] == "qos":
-                qos_val = float(toks[1])
+                qos_val = _finite(toks[1])
             elif toks[0] == "makespan":
-                makespan = float(toks[1])
+                makespan = _finite(toks[1])
             else:
                 raise ValueError(f"unknown directive {toks[0]!r}")
         except (IndexError, ValueError) as exc:
@@ -292,9 +301,12 @@ def parse_schedule(text: str):
     for kind, seen in per_task.items():
         if missing := sorted(tasks - set(seen)):
             raise GraphFormatError(1, f"schedule file has no {kind!r} line for task {missing[0]}")
-    n_procs = max((k for k, _ in assign.values()), default=-1) + 1
-    n_procs = max(n_procs, procs)
-    order = [[] for _ in range(n_procs)]
+    for u, (k, _) in assign.items():
+        if not 0 <= k < procs:
+            raise GraphFormatError(
+                assign_line[u], f"task {u} is assigned to processor {k} of {procs}"
+            )
+    order = [[] for _ in range(procs)]
     for u, (k, slot) in assign.items():
         order[k].append((slot, u))
     asg = Assignment(
@@ -481,6 +493,10 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         raise UsageError(f"cannot read schedule {args.schedule!r}: {exc}")
     mode, eps_max, procs, labeling, asg, sched = parse_schedule(text)
+    if procs > platform.procs:
+        raise UsageError(
+            f"schedule uses {procs} processors, the platform has {platform.procs}"
+        )
     if set(sched.start) != set(g.tasks):
         raise UsageError("schedule tasks differ from the graph's tasks")
     if mode == "proposed":

@@ -9,6 +9,12 @@ updates instead of rewriting an m x m matrix. Solutions are re-checked
 against the original data before being reported; numerical trouble is
 surfaced as a status, never silently.
 
+A solve may start from the basis of an earlier solve of the same program
+(LPSolution.basis). If that basis still fits (see _Simplex._load_basis), a
+bounded dual simplex restores primal feasibility after a change of the
+right-hand side, or proves that none exists, and the primal simplex polishes
+the result; a basis that does not fit falls back to the cold two-phase start.
+
 Dual conventions (reduced cost rc = c - A^T y):
   min: '<=' rows carry y <= 0, '>=' rows y >= 0; x at lower bound -> rc >= 0,
        x at upper bound -> rc <= 0.
@@ -167,6 +173,10 @@ class LPSolution:
     # largest violation of the original rows and bounds (max_violation);
     # None when the solution was not re-checked
     violation: float | None = None
+    # final status of each structural and slack column (0 at lower bound,
+    # 1 at upper, 2 basic, 3 free nonbasic), to warm-start a later solve of
+    # the same program; set when optimal, or infeasible by the dual simplex
+    basis: np.ndarray | None = None
 
     @property
     def optimal(self) -> bool:
@@ -239,6 +249,11 @@ def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return R, C
 
 
+def _dual_tol(c: np.ndarray) -> float:
+    """Reduced-cost tolerance, relative to the largest cost (1 when c = 0)."""
+    return 1e-9 * (float(np.abs(c).max(initial=0.0)) or 1.0)
+
+
 class _Simplex:
     """Two-phase bounded-variable simplex on pre-scaled dense data (nr >= 1).
 
@@ -250,6 +265,7 @@ class _Simplex:
 
     PIV_TOL = 1e-9
     RATIO_TOL = 1e-9
+    PRIMAL_TOL = 1e-9  # the dual simplex takes basics this far past a bound as feasible
     REFACTOR_EVERY = 128
 
     def __init__(self, A, b, senses, c_min, lo, hi):
@@ -374,7 +390,7 @@ class _Simplex:
             self._refactor()
 
     def _iterate(self, c, fixed, maxiter):
-        tol_d = 1e-9 * max(1.0, float(np.abs(c).max(initial=0.0)))
+        tol_d = _dual_tol(c)
         bland = False
         degen = 0
         while True:
@@ -483,33 +499,137 @@ class _Simplex:
                 return "optimal"
         raise _NumericalTrouble("optimality did not stabilize under refactorization")
 
-    def solve(self, maxiter):
-        self._init_basis()
+    def _load_basis(self, vstat, c, fixed) -> bool:
+        """Adopt a caller's basis: the vstat of the structural and slack columns.
+
+        It fits when it has the right length and exactly nr basics, puts every
+        nonbasic on a finite bound, refactors to a nonsingular inverse, and is
+        dual feasible for c. A basis that does not fit leaves nothing behind
+        that the cold start does not overwrite.
+        """
+        vstat = np.asarray(vstat)
+        if vstat.shape != (self.ncols,):
+            return False
+        basic = vstat == 2
+        at_lo, at_hi = vstat == 0, vstat == 1
+        if (
+            int(basic.sum()) != self.nr
+            or not np.all(basic | at_lo | at_hi)
+            or np.any(at_lo & ~np.isfinite(self.lo))
+            or np.any(at_hi & ~np.isfinite(self.hi))
+        ):
+            return False
+        self.vstat = vstat.astype(np.int8)
+        self.basis = np.nonzero(basic)[0]
+        self.in_basis = basic.copy()
+        self.x = np.where(at_hi, self.hi, np.where(at_lo, self.lo, 0.0))
+        try:
+            self._refactor()
+        except _NumericalTrouble:
+            return False
+        # inv() accepts a numerically singular basis; B0^-1 (B 1) must give 1 back
+        ones = self.B0_inv @ self.A[:, self.basis].sum(axis=1)
+        if not np.all(np.abs(ones - 1.0) <= 1e-6):
+            return False
+        d = c - self._btran(c[self.basis]) @ self.A
+        tol_d = _dual_tol(c)
+        return not np.any(
+            ~basic & ~fixed & ((at_lo & (d < -tol_d)) | (at_hi & (d > tol_d)))
+        )
+
+    def _dual(self, c, fixed, maxiter):
+        """Bounded dual simplex from a dual feasible basis.
+
+        Each iteration takes the basic with the largest bound violation out
+        to that bound; the entering column is the one with the smallest
+        ratio |d_j / alpha_j| over the row alpha = e_r^T B^-1 A, ties broken
+        toward the largest |alpha_j|. Returns "optimal" once every basic is
+        within its bounds, "infeasible" when no column can repair the row.
+        """
+        tol_d = _dual_tol(c)
+        e_r = np.zeros(self.nr)
+        while True:
+            xB = self.x[self.basis]
+            below = self.lo[self.basis] - xB
+            infeas = np.maximum(below, xB - self.hi[self.basis])
+            r = int(np.argmax(infeas))
+            if infeas[r] <= self.PRIMAL_TOL:
+                return "optimal"
+            if self.iterations >= maxiter:
+                return "iteration_limit"
+            self.iterations += 1
+            e_r[r] = 1.0
+            alpha = self._btran(e_r) @ self.A
+            e_r[r] = 0.0
+            d = c - self._btran(c[self.basis]) @ self.A
+            # s = +1: the leaving basic rises to its lower bound; -1: falls to its upper
+            s = 1.0 if below[r] > 0 else -1.0
+            a = s * alpha
+            at_lo = self.vstat == 0
+            elig = ~self.in_basis & ~fixed & (
+                (at_lo & (a < -self.PIV_TOL)) | ((self.vstat == 1) & (a > self.PIV_TOL))
+            )
+            if not elig.any():
+                # the cold start, too, takes up to FEAS_TOL of residual as feasible
+                return "infeasible" if infeas[r] > FEAS_TOL else "optimal"
+            slack_d = np.maximum(np.where(at_lo, d, -d), 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(elig, slack_d / np.abs(alpha), INF)
+            cand = np.nonzero(ratio <= ratio.min() + tol_d)[0]
+            q = int(cand[np.argmax(np.abs(alpha[cand]))])
+
+            w = self._ftran(self.A[:, q])
+            if abs(w[r]) < 1e-11:
+                if self.n_eta == 0:
+                    raise _NumericalTrouble("dual simplex pivot vanished after refactorization")
+                self._refactor()
+                continue
+            leaving = int(self.basis[r])
+            bound = self.lo[leaving] if s > 0 else self.hi[leaving]
+            theta = (xB[r] - bound) / w[r]
+            self.x[self.basis] = xB - theta * w
+            self.x[q] += theta
+            self.x[leaving] = bound
+            self.vstat[leaving] = 0 if s > 0 else 1
+            self._pivot(r, q, w)
+
+    def solve(self, maxiter, basis=None):
+        """Returns (status, x, y, vstat); vstat covers the structural and slack
+        columns and is None unless optimal or infeasible by the dual simplex."""
+        c = np.zeros(self.ncols)
+        c[: self.nv] = self.c_min
         fixed = self.hi - self.lo <= 0.0
-
-        if self.n_art:
-            c1 = np.zeros(self.total)
-            c1[self.ncols :] = 1.0
-            status = self._iterate_polished(c1, fixed, maxiter)
-            if status in ("iteration_limit", "unbounded"):
-                return "numerical", None, None
-            infeas = float(self.x[self.ncols :].sum())
-            if infeas > FEAS_TOL:
-                return "infeasible", None, None
-            self.lo[self.ncols :] = 0.0
-            self.hi[self.ncols :] = 0.0
-            self.x[self.ncols :] = 0.0
+        if basis is not None and self._load_basis(basis, c, fixed):
+            status = self._dual(c, fixed, maxiter)
+            if status == "infeasible":
+                return "infeasible", None, None, self.vstat.copy()
+            if status == "optimal":
+                status = self._iterate_polished(c, fixed, maxiter)
+        else:
+            self._init_basis()
             fixed = self.hi - self.lo <= 0.0
-            self._drive_out_artificials(fixed)
-
-        c2 = np.zeros(self.total)
-        c2[: self.nv] = self.c_min
-        status = self._iterate_polished(c2, fixed, maxiter)
+            if self.n_art:
+                c1 = np.zeros(self.total)
+                c1[self.ncols :] = 1.0
+                status = self._iterate_polished(c1, fixed, maxiter)
+                if status in ("iteration_limit", "unbounded"):
+                    return "numerical", None, None, None
+                infeas = float(self.x[self.ncols :].sum())
+                if infeas > FEAS_TOL:
+                    return "infeasible", None, None, None
+                self.lo[self.ncols :] = 0.0
+                self.hi[self.ncols :] = 0.0
+                self.x[self.ncols :] = 0.0
+                fixed = self.hi - self.lo <= 0.0
+                self._drive_out_artificials(fixed)
+                c = np.concatenate([c, np.zeros(self.n_art)])
+            status = self._iterate_polished(c, fixed, maxiter)
         if status == "iteration_limit":
-            return "numerical", None, None
+            return "numerical", None, None, None
         if status == "unbounded":
-            return "unbounded", None, None
-        return "optimal", self.x[: self.nv].copy(), self._btran(c2[self.basis])
+            return "unbounded", None, None, None
+        y = self._btran(c[self.basis])
+        return "optimal", self.x[: self.nv].copy(), y, self.vstat[: self.ncols].copy()
 
 
 class _NumericalTrouble(RuntimeError):
@@ -533,11 +653,13 @@ def _solve_trivial(comp, lo, hi, c_min):
     return "optimal", x
 
 
-def solve_lp(problem, lower=None, upper=None) -> LPSolution:
+def solve_lp(problem, lower=None, upper=None, basis=None) -> LPSolution:
     """Solve a LinearProgram or CompiledLP; bounds may be overridden per call.
 
     lower/upper are optional arrays indexed like CompiledLP.var_names (used by
     branch-and-bound to rebound binaries without rebuilding the program).
+    basis is an earlier LPSolution.basis of a program with the same rows and
+    columns; where it fits, the solve starts there with the dual simplex.
     """
     comp = problem.compile() if isinstance(problem, LinearProgram) else problem
     lo = comp.lo.copy() if lower is None else np.asarray(lower, dtype=float).copy()
@@ -574,12 +696,14 @@ def solve_lp(problem, lower=None, upper=None) -> LPSolution:
     maxiter = 20000 + 50 * (nr + nv)
     try:
         core = _Simplex(As, bs, comp.senses, cs, los, his)
-        status, xs, ys = core.solve(maxiter)
+        status, xs, ys, vstat = core.solve(maxiter, basis)
     except _NumericalTrouble as exc:
         return LPSolution("numerical", None, {}, {}, {}, 0, str(exc))
 
     if status != "optimal":
-        return LPSolution(status, None, {}, {}, {}, core.iterations, refactors=core.refactors)
+        return LPSolution(
+            status, None, {}, {}, {}, core.iterations, refactors=core.refactors, basis=vstat
+        )
 
     # the ratio test tolerates basics up to FEAS_TOL past a bound; put them
     # on it, or a column scale of 2^10 inflates that slack past the re-check
@@ -610,7 +734,7 @@ def solve_lp(problem, lower=None, upper=None) -> LPSolution:
     rcs = {n: float(rc_user[j]) for j, n in enumerate(comp.var_names)}
     return LPSolution(
         "optimal", obj, values, duals, rcs, core.iterations,
-        refactors=core.refactors, violation=viol,
+        refactors=core.refactors, violation=viol, basis=vstat,
     )
 
 

@@ -3,7 +3,9 @@
 Budgets are expressed as ratios of the graph's minimum precise-execution
 energy; a sweep walks the ratio down from 1.0 until a method turns
 infeasible, then probes a couple more points to document the cliff. Every
-feasible schedule is re-verified before a row is emitted.
+feasible schedule is re-verified before a row is emitted. Between two ratios
+of one method only the energy budget changes, so each row's LP starts from
+the previous row's final basis (see lp.solve_lp).
 """
 
 from __future__ import annotations
@@ -99,6 +101,7 @@ class MethodOutcome:
     gap: float | None = None
     nodes: int | None = None
     status: str = ""
+    basis: object = None  # the LP's final basis (LPSolution.basis)
 
 
 @dataclass(frozen=True)
@@ -174,19 +177,28 @@ def epsilon_star(
     return sol.objective, sched, asg
 
 
-def run_proposed(g: TaskGraph, platform: PlatformConfig, eps_max: float) -> MethodOutcome:
-    """Labeling, list scheduling, then the QoS-maximizing LP."""
+def run_proposed(
+    g: TaskGraph, platform: PlatformConfig, eps_max: float, basis=None
+) -> MethodOutcome:
+    """Labeling, list scheduling, then the QoS-maximizing LP.
+
+    basis is the MethodOutcome.basis of an earlier run on the same graph and
+    platform; the LP then starts from it (only the budget may differ).
+    """
     t0 = time.monotonic()
     gn = normalize_source(g)
     lab, wl = imp_label(gn)
     workloads = {u: float(w) for u, w in scheduling_workloads(gn, wl).items()}
     asg = _assign(gn, workloads, platform)
     sol = solve_lp(
-        build_qos_lp(gn, wl, asg, platform.power, platform.freqs, eps_max, gn.deadline)
+        build_qos_lp(gn, wl, asg, platform.power, platform.freqs, eps_max, gn.deadline),
+        basis=basis,
     )
     runtime = time.monotonic() - t0
     if sol.status == "infeasible":
-        return MethodOutcome("proposed", False, runtime=runtime, status="infeasible")
+        return MethodOutcome(
+            "proposed", False, runtime=runtime, status="infeasible", basis=sol.basis
+        )
     if not sol.optimal:
         raise PipelineError(f"proposed LP ended {sol.status}: {sol.message}")
     sched = decode_schedule(
@@ -205,22 +217,31 @@ def run_proposed(g: TaskGraph, platform: PlatformConfig, eps_max: float) -> Meth
         schedule=sched,
         assignment=asg,
         status="optimal",
+        basis=sol.basis,
     )
     out.labeling = lab
     return out
 
 
-def run_baseline(g: TaskGraph, platform: PlatformConfig, eps_max: float) -> MethodOutcome:
-    """QoS LP on the unlabeled graph: non-exit tasks keep initial workloads."""
+def run_baseline(
+    g: TaskGraph, platform: PlatformConfig, eps_max: float, basis=None
+) -> MethodOutcome:
+    """QoS LP on the unlabeled graph: non-exit tasks keep initial workloads.
+
+    basis is used as in run_proposed.
+    """
     t0 = time.monotonic()
     gn = normalize_source(g)
     asg = _assign(gn, _initial_workloads(gn), platform)
     sol = solve_lp(
-        build_baseline_lp(gn, asg, platform.power, platform.freqs, eps_max, gn.deadline)
+        build_baseline_lp(gn, asg, platform.power, platform.freqs, eps_max, gn.deadline),
+        basis=basis,
     )
     runtime = time.monotonic() - t0
     if sol.status == "infeasible":
-        return MethodOutcome("baseline", False, runtime=runtime, status="infeasible")
+        return MethodOutcome(
+            "baseline", False, runtime=runtime, status="infeasible", basis=sol.basis
+        )
     if not sol.optimal:
         raise PipelineError(f"baseline LP ended {sol.status}: {sol.message}")
     fixed = {
@@ -240,6 +261,7 @@ def run_baseline(g: TaskGraph, platform: PlatformConfig, eps_max: float) -> Meth
         schedule=sched,
         assignment=asg,
         status="optimal",
+        basis=sol.basis,
     )
 
 
@@ -312,26 +334,33 @@ def sweep_graph(
     cfg: SweepConfig,
     eps_star_value: float | None = None,
 ) -> list[SweepRow]:
-    """Run every configured method down its own feasibility cliff."""
+    """Run every configured method down its own feasibility cliff.
+
+    The LP methods pass each row's final basis on to the next ratio, past
+    the cliff too; branch-and-bound starts every ratio cold.
+    """
     if eps_star_value is None:
         eps_star_value, _, _ = epsilon_star(g, platform)
+    # built per call, so the runners are looked up by their module names
+    runners = {
+        "proposed": run_proposed,
+        "baseline": run_baseline,
+        "milp": lambda g, platform, eps_max, basis: run_milp(
+            g,
+            platform,
+            eps_max,
+            time_limit=cfg.milp_time_limit,
+            seed_with_proposed=cfg.milp_seed_with_proposed,
+        ),
+    }
     rows: list[SweepRow] = []
     for method in cfg.methods:
+        basis = None
         beyond = None  # points probed past the first infeasible ratio
         for ratio in sweep_ratios(cfg.resolution):
-            eps_max = ratio * eps_star_value
-            if method == "proposed":
-                out = run_proposed(g, platform, eps_max)
-            elif method == "baseline":
-                out = run_baseline(g, platform, eps_max)
-            else:
-                out = run_milp(
-                    g,
-                    platform,
-                    eps_max,
-                    time_limit=cfg.milp_time_limit,
-                    seed_with_proposed=cfg.milp_seed_with_proposed,
-                )
+            out = runners[method](g, platform, ratio * eps_star_value, basis)
+            if out.basis is not None:
+                basis = out.basis
             rows.append(
                 SweepRow(
                     graph_id,

@@ -338,9 +338,12 @@ def _parse_float_field(line_no: int, token: str, key: str) -> float:
     if not token.startswith(prefix):
         raise GraphFormatError(line_no, f"expected {key}=<value>, got {token!r}")
     try:
-        return float(token[len(prefix):])
+        value = float(token[len(prefix):])
     except ValueError:
         raise GraphFormatError(line_no, f"{key} must be a decimal number")
+    if not math.isfinite(value):
+        raise GraphFormatError(line_no, f"{key} must be finite")
+    return value
 
 
 def parse_task_graph(text: str) -> TaskGraph:
@@ -372,8 +375,8 @@ def parse_task_graph(text: str) -> TaskGraph:
                 deadline = float(toks[1])
             except ValueError:
                 raise GraphFormatError(line_no, "deadline must be a decimal number")
-            if deadline <= 0:
-                raise GraphFormatError(line_no, "deadline must be positive")
+            if not 0 < deadline < math.inf:
+                raise GraphFormatError(line_no, "deadline must be positive and finite")
         elif kind == "task":
             if len(toks) != 6:
                 raise GraphFormatError(

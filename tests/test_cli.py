@@ -128,6 +128,29 @@ class TestScheduleVerify:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("proc", ["9", "4", "-1"])
+    def test_processor_outside_schedule(self, graph_file, tmp_path, capsys, proc):
+        sched_file = tmp_path / "sched.txt"
+        assert run(f"schedule {graph_file} --eps-ratio 0.9 --out {sched_file}") == 0
+        lines = sched_file.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("assign "))
+        toks = lines[i].split()
+        toks[2] = f"proc={proc}"
+        lines[i] = " ".join(toks)
+        sched_file.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(f"verify {graph_file} {sched_file}") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: line {i + 1}: task {toks[1]} is assigned to processor {proc} of 4\n"
+
+    def test_schedule_for_more_processors_than_platform(self, graph_file, tmp_path, capsys):
+        sched_file = tmp_path / "sched.txt"
+        assert run(f"schedule {graph_file} --eps-ratio 0.9 --out {sched_file}") == 0
+        capsys.readouterr()
+        assert run(f"verify {graph_file} {sched_file} --procs 2") == 1
+        err = capsys.readouterr().err
+        assert err == "error: schedule uses 4 processors, the platform has 2\n"
+
     def test_baseline_and_milp_commands(self, tmp_path, capsys):
         out = tmp_path / "g"
         assert run(f"generate --n 5 --count 1 --regime man_mixed --seed 7 --out {out}") == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -382,25 +383,150 @@ class TestSolutionCounters:
         assert infeasible.status == "infeasible" and infeasible.violation is None
 
 
+def highs_objective(comp):
+    """(status, objective) of HiGHS on the equilibrated program."""
+    A, b, c, lo, hi = equilibrated(comp)
+    senses = np.array(comp.senses)
+    le, ge, eq = senses == LE, senses == GE, senses == EQ
+    res = linprog(
+        c,
+        A_ub=np.vstack([A[le], -A[ge]]),
+        b_ub=np.concatenate([b[le], -b[ge]]),
+        A_eq=A[eq],
+        b_eq=b[eq],
+        bounds=list(zip(lo, np.where(np.isfinite(hi), hi, None))),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    if res.status == 2:
+        return "infeasible", None
+    assert res.status == 0, res.message
+    return "optimal", (-res.fun if comp.maximize else res.fun) + comp.constant
+
+
 class TestSchedulingLPsAgainstHighs:
     @pytest.mark.parametrize("n", [10, 38, 80])
     def test_objectives_match_highs(self, n):
         for comp in scheduling_lps(n):
             sol = solve_lp(comp)
             assert sol.optimal
-            A, b, c, lo, hi = equilibrated(comp)
-            senses = np.array(comp.senses)
-            le, ge, eq = senses == LE, senses == GE, senses == EQ
-            res = linprog(
-                c,
-                A_ub=np.vstack([A[le], -A[ge]]),
-                b_ub=np.concatenate([b[le], -b[ge]]),
-                A_eq=A[eq],
-                b_eq=b[eq],
-                bounds=list(zip(lo, np.where(np.isfinite(hi), hi, None))),
-                method="highs",
-                options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
-            )
-            assert res.status == 0, res.message
-            ref = (-res.fun if comp.maximize else res.fun) + comp.constant
+            status, ref = highs_objective(comp)
+            assert status == "optimal"
             assert sol.objective == pytest.approx(ref, rel=1e-9)
+
+
+def two_var_lp():
+    """max x + y subject to x + y + z <= 4, x + y - z <= 2 (columns x and y
+    are equal, so a basis holding both is singular)."""
+    lp = LinearProgram()
+    for v in "xyz":
+        lp.add_var(v, 0.0, 10.0)
+    lp.add_row("a", {"x": 1.0, "y": 1.0, "z": 1.0}, LE, 4.0)
+    lp.add_row("b", {"x": 1.0, "y": 1.0, "z": -1.0}, LE, 2.0)
+    lp.set_objective("max", {"x": 1.0, "y": 1.0})
+    return lp.compile()
+
+
+def near_singular_lp():
+    """Three rows, column w = u + v in decimal: np.linalg.inv factors the
+    equilibrated basis {u, v, w} without error into a wrong inverse. The
+    objective is zero, so that basis would pass as dual feasible."""
+    lp = LinearProgram()
+    a, b = (0.7, 0.3, 0.1), (0.1, 0.8, 0.9)
+    cols = {"u": a, "v": b, "w": tuple(x + y for x, y in zip(a, b))}
+    for v in cols:
+        lp.add_var(v, 0.0, 10.0)
+    for i in range(3):
+        lp.add_row(f"r{i}", {v: col[i] for v, col in cols.items()}, LE, 1.0 + i)
+    lp.set_objective("max", {})
+    return lp.compile()
+
+
+class TestWarmStart:
+    def test_budget_walk_matches_cold_and_highs(self):
+        lps = scheduling_lps(38)
+        qos = lps[1]
+        row = qos.row_names.index("energy")
+        basis = None
+        proved_infeasible = 0
+        for ratio in (1.0, 0.9, 0.8, 0.6, 0.5, 0.4):
+            comp = dataclasses.replace(qos, b=qos.b.copy())
+            comp.b[row] = qos.b[row] * ratio / 0.8
+            warm = solve_lp(comp, basis=basis)
+            cold = solve_lp(comp)
+            status, ref = highs_objective(comp)
+            assert warm.status == cold.status == status
+            if status == "optimal":
+                assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+                assert warm.objective == pytest.approx(ref, rel=1e-9)
+            elif basis is not None:
+                # the dual simplex proved it and hands back a dual feasible basis
+                assert warm.basis is not None and cold.basis is None
+                proved_infeasible += 1
+            if basis is not None:
+                assert warm.iterations < cold.iterations
+            basis = warm.basis
+        assert proved_infeasible >= 2
+
+    def test_reduced_cost_tolerance_is_relative(self):
+        # the equilibrated QoS costs peak near 1.4e-6; a tolerance of 1e-9
+        # in absolute terms let a reduced cost of 5.3e-10 on a column with
+        # a range of 6e4 pass as optimal, 1.8e-5 short in QoS
+        g = generate_random_graph(GeneratorParams(n_tasks=38, mandatory_regime="man_low", seed=7))
+        platform = sweep.default_platform()
+        star, _, _ = sweep.epsilon_star(g, platform)
+        captured = []
+
+        def capture(problem, *args, **kwargs):
+            captured.append(problem.compile())
+            return solve_lp(problem, *args, **kwargs)
+
+        prev = sweep.run_proposed(g, platform, 0.75 * star)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep, "solve_lp", capture)
+            warm = sweep.run_proposed(g, platform, 0.7 * star, basis=prev.basis)
+        cold = sweep.run_proposed(g, platform, 0.7 * star)
+        assert warm.feasible and cold.feasible
+        assert warm.qos == pytest.approx(cold.qos, rel=1e-9)
+        status, ref = highs_objective(captured[0])
+        assert warm.qos == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "short",
+            "long",
+            "extra_basic",
+            "singular",
+            "near_singular",
+            "infinite_bound",
+            "dual_infeasible",
+        ],
+    )
+    def test_bases_that_do_not_fit_start_cold(self, case):
+        comp = near_singular_lp() if case == "near_singular" else two_var_lp()
+        cold = solve_lp(comp)
+        assert cold.optimal and cold.basis is not None
+        basis = {
+            "short": cold.basis[:-1],
+            "long": np.append(cold.basis, 0),
+            "extra_basic": np.full_like(cold.basis, 2),
+            # x and y basic: equal columns
+            "singular": np.array([2, 2, 0, 0, 0]),
+            "near_singular": np.array([2, 2, 2, 0, 0, 0]),
+            # the slack of a '<=' row has no finite upper bound
+            "infinite_bound": np.array([0, 2, 2, 0, 1]),
+            # primal feasible, but x and y price in at their lower bounds
+            "dual_infeasible": np.array([0, 0, 2, 0, 2]),
+        }[case]
+        got = solve_lp(comp, basis=basis)
+        assert got.status == cold.status
+        assert got.objective == cold.objective
+        assert got.iterations == cold.iterations
+
+    def test_fitting_basis_is_used(self):
+        comp = two_var_lp()
+        cold = solve_lp(comp)
+        again = solve_lp(comp, basis=cold.basis)
+        assert again.objective == pytest.approx(cold.objective, rel=1e-12)
+        assert again.iterations < cold.iterations

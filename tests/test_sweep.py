@@ -1,5 +1,7 @@
 import pytest
 
+from impsched import sweep
+from impsched.lp import solve_lp
 from impsched.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -13,6 +15,7 @@ from impsched.sweep import (
     InfeasibleError,
 )
 from impsched.taskgraph import GeneratorParams, generate_random_graph
+from test_lp import highs_objective
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +175,37 @@ class TestMethodRunners:
         star, _, _ = epsilon_star(g, platform4)
         out = run_baseline(g, platform4, star)
         assert out.feasible and out.qos == pytest.approx(1.0)
+
+
+class TestWarmSweep:
+    @pytest.mark.parametrize("regime,n,seed", [("man_low", 38, 7), ("man_high", 30, 3)])
+    def test_rows_match_cold_runs_and_highs(self, platform4, regime, n, seed):
+        g = generate_random_graph(GeneratorParams(n_tasks=n, mandatory_regime=regime, seed=seed))
+        star, _, _ = epsilon_star(g, platform4)
+        solves = []
+
+        def capture(problem, *args, **kwargs):
+            sol = solve_lp(problem, *args, **kwargs)
+            solves.append((problem.compile(), kwargs.get("basis") is not None, sol))
+            return sol
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep, "solve_lp", capture)
+            cfg = SweepConfig()
+            rows = sweep_graph("g", g, platform4, cfg, eps_star_value=star)
+        assert len(solves) == len(rows)
+        # back to call order: each method down its ratios
+        rows.sort(key=lambda r: (cfg.methods.index(r.method), -r.eps_ratio))
+        runners = {"proposed": run_proposed, "baseline": run_baseline}
+        for row, (comp, warm, sol) in zip(rows, solves):
+            cold = runners[row.method](g, platform4, row.eps_ratio * star)
+            assert row.feasible == cold.feasible
+            assert warm == (row.eps_ratio < 1.0)
+            status, ref = highs_objective(comp)
+            assert sol.status == status
+            if row.feasible:
+                assert row.qos == pytest.approx(cold.qos, rel=1e-9)
+                assert row.qos == pytest.approx(ref, rel=1e-9)
+        # points past each cliff were proved infeasible by the dual simplex
+        proved = [sol for comp, warm, sol in solves if warm and sol.status == "infeasible"]
+        assert len(proved) >= 4 and all(sol.basis is not None for sol in proved)
