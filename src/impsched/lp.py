@@ -12,8 +12,9 @@ surfaced as a status, never silently.
 A solve may start from the basis of an earlier solve of the same program
 (LPSolution.basis). If that basis still fits (see _Simplex._load_basis), a
 bounded dual simplex restores primal feasibility after a change of the
-right-hand side, or proves that none exists, and the primal simplex polishes
-the result; a basis that does not fit falls back to the cold two-phase start.
+right-hand side or of variable bounds, or proves that none exists, and the
+primal simplex polishes the result; a basis that does not fit falls back to
+the cold two-phase start.
 
 Dual conventions (reduced cost rc = c - A^T y):
   min: '<=' rows carry y <= 0, '>=' rows y >= 0; x at lower bound -> rc >= 0,
@@ -629,7 +630,12 @@ class _Simplex:
         if status == "unbounded":
             return "unbounded", None, None, None
         y = self._btran(c[self.basis])
-        return "optimal", self.x[: self.nv].copy(), y, self.vstat[: self.ncols].copy()
+        vstat = self.vstat[: self.ncols].copy()
+        # an artificial left basic (at 0) on a redundant row spans the same
+        # column as that row's slack, which takes its place in the basis
+        art = self.basis[self.basis >= self.ncols]
+        vstat[self.nv + np.abs(self.A[:, art]).argmax(axis=0)] = 2
+        return "optimal", self.x[: self.nv].copy(), y, vstat
 
 
 class _NumericalTrouble(RuntimeError):

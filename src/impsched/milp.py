@@ -5,6 +5,11 @@ in-repo best-first branch-and-bound over the LP relaxation.
 Binary variables: Pi[k,u] assigns task u to processor k; Y[k,u,v] says u runs
 immediately before v on k (with virtual list heads 0 and n+1); X[u] clamps the
 summed parent output errors at 1. The product X*errsum is linearized exactly.
+
+A node differs from its parent only in binary bounds. It first fixes every
+binary whose other value the row activities rule out, repeating until no
+bound changes, then re-solves the relaxation from its parent's final basis
+with the bounded dual simplex of the lp module.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ class BnbResult:
     bound: float
     nodes: int
     wall_time: float
+    lp_iterations: int  # simplex iterations summed over every node LP
 
     @property
     def gap(self) -> float:
@@ -304,76 +310,49 @@ def decode_assignment(model: MilpModel, values: dict[str, float]) -> Assignment:
 
 
 def _binary_rows(comp: CompiledLP, bin_idx: np.ndarray):
-    """Precompute row slices used by activity-based bound tightening."""
-    is_bin = np.zeros(len(comp.var_names), dtype=bool)
-    is_bin[bin_idx] = True
-    rows = []
-    for r in range(comp.A.shape[0]):
-        cols = np.nonzero(comp.A[r])[0]
-        if not is_bin[cols].any():
-            continue
-        rows.append(
-            (cols, comp.A[r, cols].copy(), comp.senses[r], comp.b[r], is_bin[cols])
-        )
-    return rows
+    """The rows that touch a binary, as dense arrays for _tighten: the
+    positive and negative parts of their coefficients, the right-hand sides,
+    which rows have an upper side (<=, ==) and which a lower side (>=, ==),
+    and the binary columns."""
+    touch = np.any(comp.A[:, bin_idx] != 0.0, axis=1)
+    A = comp.A[touch]
+    senses = np.array(comp.senses)[touch]
+    return np.maximum(A, 0), np.minimum(A, 0), comp.b[touch], senses != GE, senses != LE, bin_idx
 
 
 def _tighten(rows, lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Round implied binary bounds to 0/1; returns False on infeasibility."""
-    for _ in range(10):
-        changed = False
-        for cols, coefs, sense, rhs, binmask in rows:
-            l = lo[cols]
-            h = hi[cols]
-            lo_term = np.where(coefs > 0, coefs * l, coefs * h)
-            hi_term = np.where(coefs > 0, coefs * h, coefs * l)
-            minact = lo_term.sum()
-            maxact = hi_term.sum()
-            if sense in (LE, EQ) and np.isfinite(minact):
-                if minact > rhs + 1e-7:
-                    return False
-                slack = rhs - minact
-                for j in np.nonzero(binmask)[0]:
-                    a = coefs[j]
-                    if a > 0 and h[j] > l[j]:
-                        cap = l[j] + slack / a
-                        if cap < 1.0 - INT_TOL and hi[cols[j]] > 0.0:
-                            if cap < -INT_TOL:
-                                return False
-                            hi[cols[j]] = 0.0
-                            changed = True
-                    elif a < 0 and h[j] > l[j]:
-                        floor_ = h[j] - slack / (-a)
-                        if floor_ > INT_TOL and lo[cols[j]] < 1.0:
-                            if floor_ > 1.0 + INT_TOL:
-                                return False
-                            lo[cols[j]] = 1.0
-                            changed = True
-            if sense in (GE, EQ) and np.isfinite(maxact):
-                if maxact < rhs - 1e-7:
-                    return False
-                surplus = maxact - rhs
-                for j in np.nonzero(binmask)[0]:
-                    a = coefs[j]
-                    if a > 0 and h[j] > l[j]:
-                        floor_ = h[j] - surplus / a
-                        if floor_ > INT_TOL and lo[cols[j]] < 1.0:
-                            if floor_ > 1.0 + INT_TOL:
-                                return False
-                            lo[cols[j]] = 1.0
-                            changed = True
-                    elif a < 0 and h[j] > l[j]:
-                        cap = l[j] + surplus / (-a)
-                        if cap < 1.0 - INT_TOL and hi[cols[j]] > 0.0:
-                            if cap < -INT_TOL:
-                                return False
-                            hi[cols[j]] = 0.0
-                            changed = True
-            if changed and np.any(lo[cols] > hi[cols]):
-                return False
-        if not changed:
-            break
-    return not np.any(lo > hi)
+    """Round implied binary bounds to 0/1 until none changes; returns False
+    on infeasibility.
+
+    Each round takes the min/max activity of every row at the current
+    bounds and fixes every free binary whose implied cap or floor rules
+    out one of its values. A binary changes at most once, so this ends.
+    Every bound must be finite, as build_milp declares them.
+    """
+    pos, neg, b, upper, lower, bin_idx = rows
+    B = (pos + neg)[:, bin_idx]
+    while True:
+        minact = pos @ lo + neg @ hi
+        maxact = pos @ hi + neg @ lo
+        if np.any(upper & (minact > b + 1e-7)) or np.any(lower & (maxact < b - 1e-7)):
+            return False
+        slack = np.where(upper, b - minact, np.inf)[:, None]
+        surplus = np.where(lower, maxact - b, np.inf)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # how far each binary may rise from its lower bound / fall from its upper
+            rise = np.where(B > 0, slack / B, np.where(B < 0, surplus / -B, np.inf)).min(axis=0)
+            fall = np.where(B < 0, slack / -B, np.where(B > 0, surplus / B, np.inf)).min(axis=0)
+        free = hi[bin_idx] > lo[bin_idx]
+        cap = lo[bin_idx] + rise
+        floor_ = hi[bin_idx] - fall
+        drop = free & (cap < 1.0 - INT_TOL)
+        lift = free & (floor_ > INT_TOL)
+        if not (drop.any() or lift.any()):
+            return not np.any(lo > hi)
+        if np.any(cap[drop] < -INT_TOL) or np.any(floor_[lift] > 1.0 + INT_TOL):
+            return False  # a binary both dropped and lifted ends with lo > hi
+        hi[bin_idx[drop]] = 0.0
+        lo[bin_idx[lift]] = 1.0
 
 
 def solve_branch_and_bound(
@@ -386,8 +365,10 @@ def solve_branch_and_bound(
 
     Branches on the most fractional binary (ties: Pi before Y before X, then
     ascending index); falls back to deepest-first node selection when the
-    open-node count nears node_cap. seed_values, when given and feasible,
-    becomes the initial incumbent.
+    open-node count nears node_cap. Each node tightens its binary bounds to
+    a fixpoint and solves its LP warm from its parent's basis; an integral
+    leaf re-solves with every binary fixed, warm from the leaf's own basis.
+    seed_values, when given and feasible, becomes the initial incumbent.
     """
     t0 = time.monotonic()
     comp = model.lp.compile()
@@ -410,21 +391,23 @@ def solve_branch_and_bound(
                 "seeded incumbent",
             )
 
-    nodes: dict[int, tuple[float, int, np.ndarray, np.ndarray]] = {}
+    # open node: (bound, depth, lo, hi, the parent LP's basis)
+    nodes: dict[int, tuple[float, int, np.ndarray, np.ndarray, np.ndarray | None]] = {}
     heap_best: list[tuple[float, int]] = []
     heap_deep: list[tuple[int, int]] = []
     push_count = 0
 
-    def push(bound, depth, lo, hi):
+    def push(bound, depth, lo, hi, basis):
         nonlocal push_count
         nid = push_count
         push_count += 1
-        nodes[nid] = (bound, depth, lo, hi)
+        nodes[nid] = (bound, depth, lo, hi, basis)
         heapq.heappush(heap_best, (-bound, nid))
         heapq.heappush(heap_deep, (-depth, -nid))
 
-    push(float("inf"), 0, comp.lo.copy(), comp.hi.copy())
+    push(float("inf"), 0, comp.lo.copy(), comp.hi.copy(), None)
     explored = 0
+    lp_iterations = 0
     status = None
 
     def better(obj):
@@ -450,16 +433,15 @@ def solve_branch_and_bound(
                     break
         if nid is None:
             break
-        bound, depth, lo, hi = nodes.pop(nid)
+        bound, depth, lo, hi, basis = nodes.pop(nid)
         if incumbent_obj is not None and bound <= incumbent_obj + 1e-9:
             continue
         explored += 1
 
-        lo = lo.copy()
-        hi = hi.copy()
         if not _tighten(rows, lo, hi):
             continue
-        sol = solve_lp(comp, lower=lo, upper=hi)
+        sol = solve_lp(comp, lower=lo, upper=hi, basis=basis)
+        lp_iterations += sol.iterations
         if sol.status == "infeasible":
             continue
         if not sol.optimal:
@@ -480,7 +462,8 @@ def solve_branch_and_bound(
             rounded = np.round(np.clip(xb, 0.0, 1.0))
             flo[bin_idx] = rounded
             fhi[bin_idx] = rounded
-            fixed_sol = solve_lp(comp, lower=flo, upper=fhi)
+            fixed_sol = solve_lp(comp, lower=flo, upper=fhi, basis=sol.basis)
+            lp_iterations += fixed_sol.iterations
             if fixed_sol.optimal:
                 decode_assignment(
                     model, {n: fixed_sol.values[n] for n in comp.var_names}
@@ -507,7 +490,7 @@ def solve_branch_and_bound(
             bhi = hi.copy()
             blo[best_j] = branch_val
             bhi[best_j] = branch_val
-            push(node_bound, depth + 1, blo, bhi)
+            push(node_bound, depth + 1, blo, bhi, sol.basis)
 
     wall = time.monotonic() - t0
     if status is None:
@@ -519,7 +502,7 @@ def solve_branch_and_bound(
     )
     if status == "optimal":
         best_bound = incumbent_obj
-    result = BnbResult(status, incumbent_obj, best_bound, explored, wall)
+    result = BnbResult(status, incumbent_obj, best_bound, explored, wall, lp_iterations)
 
     schedule = None
     assignment = None

@@ -7,6 +7,7 @@ on either side shows up as a failed check rather than agreeing with itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .energy import FrequencySet, PowerModel
@@ -162,6 +163,15 @@ def verify_schedule(
 
     def add(name, margin, detail=""):
         checks.append(CheckResult(name, margin >= -_TOL, margin, detail))
+
+    # every comparison below is False for nan, so non-finite numbers fail here
+    numbers = [(f"start[{u}]", v) for u, v in sched.start.items()]
+    numbers += [(f"D[{u}]", v) for u, v in sched.durations.items()]
+    numbers += [(f"N[{u},{i}]", v) for (u, i), v in sched.cycles.items()]
+    numbers += [(f"o[{u}]", v) for u, v in sched.opt_cycles.items()]
+    numbers += [("energy", sched.energy), ("qos", sched.qos)]
+    bad = [name for name, v in numbers if not math.isfinite(v)]
+    add("finite-values", -math.inf if bad else 0.0, ", ".join(bad))
 
     # cycles non-negative
     worst = (0.0, "")

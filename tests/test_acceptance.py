@@ -179,6 +179,8 @@ def test_criterion_4_heuristic_vs_optimal(small30):
     gaps = []
     failures = []
     points = 0
+    proven = 0
+    bound_gaps = []  # (bound - incumbent) / incumbent where B&B stopped early
     for gid, g, platform in small30:
         star, _, _ = epsilon_star(g, platform)
         for ratio in sweep_ratios(0.05):
@@ -191,6 +193,10 @@ def test_criterion_4_heuristic_vs_optimal(small30):
             milp = run_milp(
                 g, platform, ratio * star, time_limit=tl, seed_with_proposed=True
             )
+            if milp.status == "optimal":
+                proven += 1
+            elif milp.feasible:
+                bound_gaps.append(milp.gap)
             if not milp.feasible or milp.qos < prop.qos - 1e-6:
                 failures.append(f"{gid}@{ratio}: milp={milp.qos} prop={prop.qos}")
             else:
@@ -201,12 +207,18 @@ def test_criterion_4_heuristic_vs_optimal(small30):
     mean_gap = statistics.mean(gaps) if gaps else 0.0
     max_gap = max(gaps) if gaps else 0.0
     ok = not failures and elapsed < 900.0
+    unproven = (
+        f", bound gap of the rest mean {statistics.mean(bound_gaps):.2%} "
+        f"max {max(bound_gaps):.2%}"
+        if bound_gaps
+        else ""
+    )
     record_criterion(
         4,
         "heuristic vs optimal direction",
         ok,
         f"{points} points, mean gap {mean_gap:.4%}, max gap {max_gap:.4%}, "
-        f"{elapsed:.0f}s",
+        f"{proven}/{points} proven optimal{unproven}, {elapsed:.0f}s",
     )
     assert ok, failures
 

@@ -322,6 +322,20 @@ def assert_inverse_matches(core):
         np.testing.assert_allclose(core._btran(a), ref, rtol=0, atol=1e-9 * np.abs(ref).max())
 
 
+def redundant_row_lp():
+    """z is fixed at 0, so row b's artificial ties with row a's when x enters
+    and ends phase 1 basic at zero; row c repeats row a."""
+    lp = LinearProgram()
+    lp.add_var("x", 0, 10)
+    lp.add_var("y", 0, 10)
+    lp.add_var("z", 0, 0)
+    lp.add_row("a", {"x": 1.0, "y": 1.0}, EQ, 2.0)
+    lp.add_row("b", {"x": 1.0, "z": 1.0}, EQ, 2.0)
+    lp.add_row("c", {"x": 2.0, "y": 2.0}, EQ, 4.0)
+    lp.set_objective("max", {"y": 1.0})
+    return lp
+
+
 class TestEtaFile:
     def test_matches_solve_past_a_full_eta_file(self, monkeypatch):
         pivots = []
@@ -342,8 +356,6 @@ class TestEtaFile:
         assert_inverse_matches(core)
 
     def test_drive_out_with_redundant_equality_row(self, monkeypatch):
-        # z is fixed at 0, so row b's artificial ties with row a's when x
-        # enters and ends phase 1 basic at zero; row c repeats row a
         seen = []
         drive_out = _Simplex._drive_out_artificials
 
@@ -354,15 +366,7 @@ class TestEtaFile:
             assert_inverse_matches(self)
 
         monkeypatch.setattr(_Simplex, "_drive_out_artificials", recording)
-        lp = LinearProgram()
-        lp.add_var("x", 0, 10)
-        lp.add_var("y", 0, 10)
-        lp.add_var("z", 0, 0)
-        lp.add_row("a", {"x": 1.0, "y": 1.0}, EQ, 2.0)
-        lp.add_row("b", {"x": 1.0, "z": 1.0}, EQ, 2.0)
-        lp.add_row("c", {"x": 2.0, "y": 2.0}, EQ, 4.0)
-        lp.set_objective("max", {"y": 1.0})
-        sol = solve_lp(lp)
+        sol = solve_lp(redundant_row_lp())
         assert sol.optimal and sol.objective == pytest.approx(0.0, abs=1e-12)
         assert sol.values["x"] == pytest.approx(2.0)
         # one artificial pivoted out, the redundant row's stays basic
@@ -523,6 +527,25 @@ class TestWarmStart:
         assert got.status == cold.status
         assert got.objective == cold.objective
         assert got.iterations == cold.iterations
+
+    def test_basis_of_a_redundant_row_is_used(self, monkeypatch):
+        # the redundant row's artificial stays basic after phase 1; the
+        # basis handed back puts that row's slack in its place
+        comp = redundant_row_lp().compile()
+        cold = solve_lp(comp)
+        assert cold.optimal
+        assert int((cold.basis == 2).sum()) == len(comp.row_names)
+        accepted = []
+        load = _Simplex._load_basis
+
+        def recording(self, *args):
+            accepted.append(load(self, *args))
+            return accepted[-1]
+
+        monkeypatch.setattr(_Simplex, "_load_basis", recording)
+        again = solve_lp(comp, basis=cold.basis)
+        assert accepted == [True]
+        assert again.objective == cold.objective
 
     def test_fitting_basis_is_used(self):
         comp = two_var_lp()

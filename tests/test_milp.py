@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import make_graph
-from impsched.energy import FrequencySet, PowerModel
+from impsched import milp
+from impsched.energy import DEFAULT_FREQUENCY_SET, DEFAULT_POWER_MODEL, FrequencySet, PowerModel
 from impsched.imprecision import imp_label
 from impsched.listsched import heft_assign
-from impsched.lp import EQ, LinearProgram, max_violation, solve_lp
+from impsched.lp import EQ, LinearProgram, _Simplex, max_violation, solve_lp
 from impsched.milp import (
     build_milp,
     decode_assignment,
@@ -17,7 +18,7 @@ from impsched.schedlp import build_qos_lp
 from impsched.sweep import run_milp, run_proposed, epsilon_star, PlatformConfig
 from impsched.taskgraph import GeneratorParams, generate_random_graph, normalize_source
 from impsched.verify import WorkloadContract, verify_schedule
-from oracles import exhaustive_best_qos
+from oracles import exhaustive_best_qos, tighten_loop
 
 PM = PowerModel(1e-27, 3.0, 0.0, 0.0)
 FS2 = FrequencySet((1e9, 2e9))
@@ -218,3 +219,71 @@ class TestBranchAndBound:
         # decoded ordering is a permutation covering all tasks
         seen = [u for seq in masg.order for u in seq]
         assert sorted(seen) == sorted(gn.tasks)
+
+
+class TestNodeWarmStarts:
+    def test_every_node_starts_from_its_parents_basis(self, monkeypatch):
+        # criterion 5's instance n = 5, K = 1, seed 510: the cold root LP
+        # leaves an artificial basic on a dependent flow row
+        fs = FrequencySet((DEFAULT_FREQUENCY_SET.freqs[0], DEFAULT_FREQUENCY_SET.freqs[4]))
+        platform = PlatformConfig(DEFAULT_POWER_MODEL, fs, 1)
+        g = generate_random_graph(
+            GeneratorParams(n_tasks=5, mandatory_regime="man_mixed", seed=510), f_max=fs.f_max
+        )
+        gn = normalize_source(g)
+        eps = 0.85 * epsilon_star(g, platform)[0]
+        model = build_milp(gn, 1, fs, DEFAULT_POWER_MODEL, eps, gn.deadline)
+        prop = run_proposed(g, platform, eps)
+        seed_values = encode_solution(model, prop.assignment, prop.schedule)
+        accepted = []
+        load = _Simplex._load_basis
+
+        def recording(self, *args):
+            accepted.append(load(self, *args))
+            return accepted[-1]
+
+        iterations = []
+
+        def counting(*args, **kwargs):
+            sol = solve_lp(*args, **kwargs)
+            iterations.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(_Simplex, "_load_basis", recording)
+        monkeypatch.setattr(milp, "solve_lp", counting)
+        res, _, _ = solve_branch_and_bound(model, time_limit=240.0, seed_values=seed_values)
+        assert res.status == "optimal"
+        assert len(accepted) > 100 and all(accepted)
+        assert res.lp_iterations == sum(iterations)
+
+
+class TestTighten:
+    def test_matches_row_by_row_reference(self):
+        fs = FrequencySet((DEFAULT_FREQUENCY_SET.freqs[0], DEFAULT_FREQUENCY_SET.freqs[4]))
+        rng = np.random.default_rng(11)
+        verdicts = []
+        for n in (3, 4, 5):
+            for procs in (1, 2):
+                g = normalize_source(generate_random_graph(
+                    GeneratorParams(n_tasks=n, mandatory_regime="man_mixed", seed=600 + n),
+                    f_max=fs.f_max,
+                ))
+                model = build_milp(g, procs, fs, DEFAULT_POWER_MODEL, 1.0, g.deadline)
+                comp = model.lp.compile()
+                bin_idx = np.array([comp.var_index[b] for b in model.binaries])
+                rows = milp._binary_rows(comp, bin_idx)
+                for _ in range(40):
+                    k = int(rng.integers(0, 12))
+                    pick = rng.choice(bin_idx, size=k, replace=False)
+                    lo, hi = comp.lo.copy(), comp.hi.copy()
+                    lo[pick] = hi[pick] = rng.integers(0, 2, size=k)
+                    box = np.concatenate([lo, hi])
+                    ref_lo, ref_hi = lo.copy(), hi.copy()
+                    ok = milp._tighten(rows, lo, hi)
+                    assert ok == tighten_loop(comp, bin_idx, ref_lo, ref_hi)
+                    if ok:
+                        np.testing.assert_array_equal(lo, ref_lo)
+                        np.testing.assert_array_equal(hi, ref_hi)
+                    verdicts.append((ok, bool(np.any(np.concatenate([lo, hi]) != box))))
+        # feasible boxes with bounds tightened and boxes shown infeasible both occur
+        assert (True, True) in verdicts and any(not ok for ok, _ in verdicts)

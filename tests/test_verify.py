@@ -122,6 +122,21 @@ class TestFaultInjection:
         bad = dataclasses.replace(out.schedule, durations=durations)
         assert "duration-consistency" in failing(reverify(proposed_case, bad))
 
+    def test_nan_start(self, proposed_case):
+        # every ordering check compares with '<', which is False for nan
+        _, gn, out, _, _ = proposed_case
+        start = dict(out.schedule.start)
+        start["t01"] = float("nan")
+        report = reverify(proposed_case, dataclasses.replace(out.schedule, start=start))
+        assert not report.ok
+        assert failing(report) == {"finite-values"}
+
+    def test_infinite_energy(self, proposed_case):
+        _, _, out, _, _ = proposed_case
+        report = reverify(proposed_case, dataclasses.replace(out.schedule, energy=float("inf")))
+        assert not report.ok
+        assert "finite-values" in failing(report)
+
 
 class TestIdleAudit:
     def test_idle_energy_reported_not_enforced(self, proposed_case):
