@@ -2,12 +2,18 @@
 
 The solver is a dense two-phase revised simplex, Dantzig pricing with a Bland
 fallback for anti-cycling, and power-of-two equilibration so cycle counts
-(~1e6) and seconds (~1e-3) coexist in one tableau. The basis inverse is kept
-in product form: a dense inverse of the basis at the last refactorization
-times an eta file of rank-1 pivot updates, so a pivot costs O(m*k) for k
-updates instead of rewriting an m x m matrix. Solutions are re-checked
-against the original data before being reported; numerical trouble is
-surfaced as a status, never silently.
+(~1e6) and seconds (~1e-3) coexist in one tableau; a CompiledLP keeps its
+equilibration, so repeated solves of one program (branch-and-bound nodes)
+scale it once. The basis inverse is kept in product form: a dense inverse of
+the basis at the last refactorization times an eta file of rank-1 pivot
+updates, so a pivot costs O(m*k) for k updates instead of rewriting an m x m
+matrix. Slack and artificial columns are signed unit columns and are never
+built: pricing, column reads and row activities treat them as (row, sign)
+pairs, and a refactorization inverts only the structural kernel of the
+basis, the rows its unit columns leave uncovered. A solve ends on the eta
+file as it stands unless it fails a residual check, and refactors only then.
+Solutions are re-checked against the original data before being reported;
+numerical trouble is surfaced as a status, never silently.
 
 A solve may start from the basis of an earlier solve of the same program
 (LPSolution.basis). If that basis still fits (see _Simplex._load_basis), a
@@ -25,7 +31,7 @@ Dual conventions (reduced cost rc = c - A^T y):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,6 +165,9 @@ class CompiledLP:
     hi: np.ndarray
     maximize: bool
     constant: float
+    # what solve_lp derives from A alone (see _scaling); dataclasses.replace
+    # starts a new program with an empty cache
+    _scaled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -190,17 +199,10 @@ def max_violation(comp: CompiledLP, x: np.ndarray, lo=None, hi=None) -> float:
     hi = comp.hi if hi is None else hi
     worst = 0.0
     if comp.A.shape[0]:
-        act = comp.A @ x
-        scale = np.maximum(1.0, np.abs(comp.A).max(axis=1, initial=0.0))
-        scale = np.maximum(scale, np.abs(comp.b))
-        for i, sense in enumerate(comp.senses):
-            if sense == LE:
-                v = act[i] - comp.b[i]
-            elif sense == GE:
-                v = comp.b[i] - act[i]
-            else:
-                v = abs(act[i] - comp.b[i])
-            worst = max(worst, v / scale[i])
+        act = comp.A @ x - comp.b
+        senses = np.array(comp.senses)
+        v = np.where(senses == LE, act, np.where(senses == GE, -act, np.abs(act)))
+        worst = float((v / np.maximum(_scaling(comp)[3], np.abs(comp.b))).max(initial=0.0))
     bscale = np.maximum(1.0, np.maximum(np.abs(x), np.where(np.isfinite(lo), np.abs(lo), 0.0)))
     lov = np.where(np.isfinite(lo), (lo - x) / bscale, 0.0)
     hiv = np.where(np.isfinite(hi), (x - hi) / bscale, 0.0)
@@ -250,6 +252,18 @@ def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return R, C
 
 
+def _scaling(comp: CompiledLP):
+    """(R, C, the scaled A, the row scales of max_violation): everything the
+    solver derives from A alone, computed once per CompiledLP, so that the
+    nodes of a branch-and-bound share it."""
+    if comp._scaled is None:
+        R, C = _equilibrate(comp.A)
+        As = comp.A * R[:, None] * C[None, :]
+        As.flags.writeable = False
+        comp._scaled = R, C, As, np.maximum(1.0, np.abs(comp.A).max(axis=1, initial=0.0))
+    return comp._scaled
+
+
 def _dual_tol(c: np.ndarray) -> float:
     """Reduced-cost tolerance, relative to the largest cost (1 when c = 0)."""
     return 1e-9 * (float(np.abs(c).max(initial=0.0)) or 1.0)
@@ -258,24 +272,35 @@ def _dual_tol(c: np.ndarray) -> float:
 class _Simplex:
     """Two-phase bounded-variable simplex on pre-scaled dense data (nr >= 1).
 
+    The columns are [A | U]: the nv structural columns of A, then unit
+    columns, one slack per row and the artificials of phase 1, each held as
+    its row and sign (unit_row, unit_sign), never as a matrix.
+
     B^-1 = (I + P Q^T) B0^-1, where B0^-1 is the dense inverse taken at the
     last refactorization and the k columns of P and Q (stored as the first k
     rows of eta_p and eta_q) hold one rank-1 update per pivot since then.
     The file holds REFACTOR_EVERY updates; filling it forces a refactor.
+    A refactorization inverts only the basis's structural kernel (_refactor);
+    the end of a solve refactors only when the basis fails _residuals_ok.
     """
 
     PIV_TOL = 1e-9
     RATIO_TOL = 1e-9
     PRIMAL_TOL = 1e-9  # the dual simplex takes basics this far past a bound as feasible
     REFACTOR_EVERY = 128
+    RESID_TOL = 1e-10  # relative; a tenth of _dual_tol for the dual residual
 
     def __init__(self, A, b, senses, c_min, lo, hi):
         nr, nv = A.shape
         self.nr, self.nv = nr, nv
         slack_lo = np.array([0.0 if s == LE else (-INF if s == GE else 0.0) for s in senses])
         slack_hi = np.array([INF if s == LE else (0.0 if s == GE else 0.0) for s in senses])
-        self.ncols = nv + nr
-        self.A = np.hstack([A, np.eye(nr)])
+        self.ncols = self.total = nv + nr
+        self.A = A
+        # column nv + j is the signed unit column unit_sign[j] * e_unit_row[j]:
+        # the slacks first, then the artificials _init_basis appends
+        self.unit_row = np.arange(nr)
+        self.unit_sign = np.ones(nr)
         self.b = b.astype(float)
         self.lo = np.concatenate([lo, slack_lo])
         self.hi = np.concatenate([hi, slack_hi])
@@ -285,6 +310,23 @@ class _Simplex:
         self.refactors = 0
         self.eta_p = np.empty((self.REFACTOR_EVERY, nr))
         self.eta_q = np.empty((self.REFACTOR_EVERY, nr))
+
+    def _prices(self, y):
+        """y [A | U] for every column: y A, then y[row] * sign per unit column."""
+        return np.concatenate([y @ self.A, y[self.unit_row] * self.unit_sign])
+
+    def _times(self, x):
+        """[A | U] x."""
+        unit = np.bincount(self.unit_row, self.unit_sign * x[self.nv :], minlength=self.nr)
+        return self.A @ x[: self.nv] + unit
+
+    def _column(self, j):
+        """Column j of [A | U], dense."""
+        if j < self.nv:
+            return self.A[:, j]
+        a = np.zeros(self.nr)
+        a[self.unit_row[j - self.nv]] = self.unit_sign[j - self.nv]
+        return a
 
     def _init_basis(self):
         nr, nv, ncols = self.nr, self.nv, self.ncols
@@ -303,7 +345,7 @@ class _Simplex:
                 vstat[j] = 1
             else:
                 vstat[j] = 3
-        r = self.b - self.A[:, :nv] @ x[:nv]
+        r = self.b - self.A @ x[:nv]
         basis = np.empty(nr, dtype=np.int64)
         diag = np.ones(nr)
         art_rows: list[tuple[int, float, float]] = []
@@ -322,14 +364,13 @@ class _Simplex:
                 basis[i] = ncols + len(art_rows) - 1
         if art_rows:
             na = len(art_rows)
-            Aa = np.zeros((nr, na))
-            for jj, (i, sg, _) in enumerate(art_rows):
-                Aa[i, jj] = sg
-                diag[i] = sg
-            self.A = np.hstack([self.A, Aa])
+            rows, signs, resids = (np.array(v) for v in zip(*art_rows))
+            diag[rows] = signs
+            self.unit_row = np.concatenate([self.unit_row, rows])
+            self.unit_sign = np.concatenate([self.unit_sign, signs])
             self.lo = np.concatenate([self.lo, np.zeros(na)])
             self.hi = np.concatenate([self.hi, np.full(na, INF)])
-            x = np.concatenate([x, np.array([v for *_, v in art_rows])])
+            x = np.concatenate([x, resids])
             vstat = np.concatenate([vstat, np.full(na, 2, dtype=np.int8)])
         self.n_art = len(art_rows)
         self.total = self.ncols + self.n_art
@@ -342,16 +383,37 @@ class _Simplex:
         self.in_basis[basis] = True
 
     def _refactor(self):
-        B = self.A[:, self.basis]
+        """B0^-1 from the structural kernel of the basis.
+
+        Each basic unit column covers its own row. With those rows and
+        positions moved last, B = [[B_kk, 0], [B_sk, D]] with D the diagonal
+        of their signs, so B^-1 = [[K, 0], [-D B_sk K, D]] for K = B_kk^-1.
+        """
+        nv = self.nv
+        unit = self.basis >= nv
+        pos_s, pos_u = np.nonzero(~unit)[0], np.nonzero(unit)[0]
+        cols = self.basis[pos_s]
+        rows_u = self.unit_row[self.basis[pos_u] - nv]
+        sign_u = self.unit_sign[self.basis[pos_u] - nv]
+        covered = np.zeros(self.nr, dtype=bool)
+        covered[rows_u] = True
+        rows_k = np.nonzero(~covered)[0]
+        if len(rows_k) != len(cols):  # two basic unit columns share a row
+            raise _NumericalTrouble("singular basis during refactorization")
         try:
-            self.B0_inv = np.linalg.inv(B)
+            K = np.linalg.inv(self.A[np.ix_(rows_k, cols)])
         except np.linalg.LinAlgError:
             raise _NumericalTrouble("singular basis during refactorization")
+        inv = np.zeros((self.nr, self.nr))
+        inv[np.ix_(pos_s, rows_k)] = K
+        inv[np.ix_(pos_u, rows_k)] = -sign_u[:, None] * (self.A[np.ix_(rows_u, cols)] @ K)
+        inv[pos_u, rows_u] = sign_u
+        self.B0_inv = inv
         self.n_eta = 0
         self.refactors += 1
         xn = self.x.copy()
         xn[self.basis] = 0.0
-        self.x[self.basis] = self.B0_inv @ (self.b - self.A @ xn)
+        self.x[self.basis] = inv @ (self.b - self._times(xn))
 
     def _ftran(self, a):
         """B^-1 a."""
@@ -399,7 +461,7 @@ class _Simplex:
                 return "iteration_limit"
             self.iterations += 1
             y = self._btran(c[self.basis])
-            d = c - y @ self.A
+            d = c - self._prices(y)
             can = ~self.in_basis & ~fixed
             up = can & (d < -tol_d) & ((self.vstat == 0) | (self.vstat == 3))
             down = can & (d > tol_d) & ((self.vstat == 1) | (self.vstat == 3))
@@ -412,7 +474,7 @@ class _Simplex:
                 q = int(np.argmax(viol))
             sigma = 1.0 if up[q] else -1.0
 
-            w = self._ftran(self.A[:, q])
+            w = self._ftran(self._column(q))
             delta = sigma * w
             xB = self.x[self.basis]
             loB = self.lo[self.basis]
@@ -469,7 +531,7 @@ class _Simplex:
                 continue
             e_i = np.zeros(self.nr)
             e_i[i] = 1.0
-            row = self._btran(e_i) @ self.A[:, : self.ncols]
+            row = self._prices(self._btran(e_i))[: self.ncols]
             cand = np.nonzero(
                 (np.abs(row) > 1e-7) & ~self.in_basis[: self.ncols] & ~fixed[: self.ncols]
             )[0]
@@ -479,26 +541,29 @@ class _Simplex:
             leaving = int(self.basis[i])
             self.vstat[leaving] = 0
             self.x[leaving] = 0.0
-            self._pivot(i, q, self._ftran(self.A[:, q]))
+            self._pivot(i, q, self._ftran(self._column(q)))
 
     def _iterate_polished(self, c, fixed, maxiter):
-        """Run to optimality, refactor, and re-price until stable.
-
-        The product-form updates drift; a refactorization can
-        reopen a few pivots, so iterate until a fresh factorization agrees.
-        """
+        """Run to optimality; refactor and re-price only while the product-form
+        inverse fails the residual check (_residuals_ok). An inverse with no
+        eta updates is a fresh factorization and needs no check."""
         for _ in range(8):
             status = self._iterate(c, fixed, maxiter)
-            if status != "optimal":
+            if status != "optimal" or self.n_eta == 0 or self._residuals_ok(c):
                 return status
-            before = self.iterations
             self._refactor()
-            status = self._iterate(c, fixed, maxiter)
-            if status != "optimal":
-                return status
-            if self.iterations == before + 1:  # re-priced once, nothing to do
-                return "optimal"
         raise _NumericalTrouble("optimality did not stabilize under refactorization")
+
+    def _residuals_ok(self, c):
+        """Whether the eta-updated basis still solves its own equations: the
+        primal residual of B x_B = b - N x_N and the dual residual of
+        y B = c_B, with y from BTRAN, each small against its data."""
+        x_scale = 1.0 + float(np.abs(self.b).max()) + float(np.abs(self.x).max())
+        primal = np.abs(self.b - self._times(self.x)).max()
+        y = self._btran(c[self.basis])
+        dual = np.abs(self._prices(y)[self.basis] - c[self.basis]).max(initial=0.0)
+        c_scale = float(np.abs(c).max(initial=0.0)) or 1.0
+        return primal <= self.RESID_TOL * x_scale and dual <= self.RESID_TOL * c_scale
 
     def _load_basis(self, vstat, c, fixed) -> bool:
         """Adopt a caller's basis: the vstat of the structural and slack columns.
@@ -529,10 +594,10 @@ class _Simplex:
         except _NumericalTrouble:
             return False
         # inv() accepts a numerically singular basis; B0^-1 (B 1) must give 1 back
-        ones = self.B0_inv @ self.A[:, self.basis].sum(axis=1)
+        ones = self.B0_inv @ self._times(basic.astype(float))
         if not np.all(np.abs(ones - 1.0) <= 1e-6):
             return False
-        d = c - self._btran(c[self.basis]) @ self.A
+        d = c - self._prices(self._btran(c[self.basis]))
         tol_d = _dual_tol(c)
         return not np.any(
             ~basic & ~fixed & ((at_lo & (d < -tol_d)) | (at_hi & (d > tol_d)))
@@ -560,9 +625,9 @@ class _Simplex:
                 return "iteration_limit"
             self.iterations += 1
             e_r[r] = 1.0
-            alpha = self._btran(e_r) @ self.A
+            alpha = self._prices(self._btran(e_r))
             e_r[r] = 0.0
-            d = c - self._btran(c[self.basis]) @ self.A
+            d = c - self._prices(self._btran(c[self.basis]))
             # s = +1: the leaving basic rises to its lower bound; -1: falls to its upper
             s = 1.0 if below[r] > 0 else -1.0
             a = s * alpha
@@ -579,7 +644,7 @@ class _Simplex:
             cand = np.nonzero(ratio <= ratio.min() + tol_d)[0]
             q = int(cand[np.argmax(np.abs(alpha[cand]))])
 
-            w = self._ftran(self.A[:, q])
+            w = self._ftran(self._column(q))
             if abs(w[r]) < 1e-11:
                 if self.n_eta == 0:
                     raise _NumericalTrouble("dual simplex pivot vanished after refactorization")
@@ -634,7 +699,7 @@ class _Simplex:
         # an artificial left basic (at 0) on a redundant row spans the same
         # column as that row's slack, which takes its place in the basis
         art = self.basis[self.basis >= self.ncols]
-        vstat[self.nv + np.abs(self.A[:, art]).argmax(axis=0)] = 2
+        vstat[self.nv + self.unit_row[art - self.nv]] = 2
         return "optimal", self.x[: self.nv].copy(), y, vstat
 
 
@@ -691,8 +756,7 @@ def solve_lp(problem, lower=None, upper=None, basis=None) -> LPSolution:
         )
 
     # power-of-two equilibration: exact to apply and to undo
-    R, C = _equilibrate(comp.A)
-    As = comp.A * R[:, None] * C[None, :]
+    R, C, As, _ = _scaling(comp)
     bs = comp.b * R
     cs = c_min * C
     with np.errstate(invalid="ignore"):

@@ -9,7 +9,8 @@ summed parent output errors at 1. The product X*errsum is linearized exactly.
 A node differs from its parent only in binary bounds. It first fixes every
 binary whose other value the row activities rule out, repeating until no
 bound changes, then re-solves the relaxation from its parent's final basis
-with the bounded dual simplex of the lp module.
+with the bounded dual simplex of the lp module. Every node solves the same
+CompiledLP, so the program is compiled and equilibrated once per search.
 """
 
 from __future__ import annotations
@@ -358,16 +359,14 @@ def _tighten(rows, lo: np.ndarray, hi: np.ndarray) -> bool:
 def solve_branch_and_bound(
     model: MilpModel,
     time_limit: float = 600.0,
-    node_cap: int = 1_000_000,
     seed_values: dict[str, float] | None = None,
 ) -> tuple[BnbResult, Schedule | None, Assignment | None]:
     """Best-first branch-and-bound on the LP relaxation.
 
     Branches on the most fractional binary (ties: Pi before Y before X, then
-    ascending index); falls back to deepest-first node selection when the
-    open-node count nears node_cap. Each node tightens its binary bounds to
-    a fixpoint and solves its LP warm from its parent's basis; an integral
-    leaf re-solves with every binary fixed, warm from the leaf's own basis.
+    ascending index). Each node tightens its binary bounds to a fixpoint and
+    solves its LP warm from its parent's basis; an integral leaf re-solves
+    with every binary fixed, warm from the leaf's own basis.
     seed_values, when given and feasible, becomes the initial incumbent.
     """
     t0 = time.monotonic()
@@ -391,21 +390,17 @@ def solve_branch_and_bound(
                 "seeded incumbent",
             )
 
-    # open node: (bound, depth, lo, hi, the parent LP's basis)
-    nodes: dict[int, tuple[float, int, np.ndarray, np.ndarray, np.ndarray | None]] = {}
-    heap_best: list[tuple[float, int]] = []
-    heap_deep: list[tuple[int, int]] = []
+    # open nodes, best bound first, then first pushed:
+    # (-bound, push count, lo, hi, the parent LP's basis)
+    heap: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray | None]] = []
     push_count = 0
 
-    def push(bound, depth, lo, hi, basis):
+    def push(bound, lo, hi, basis):
         nonlocal push_count
-        nid = push_count
+        heapq.heappush(heap, (-bound, push_count, lo, hi, basis))
         push_count += 1
-        nodes[nid] = (bound, depth, lo, hi, basis)
-        heapq.heappush(heap_best, (-bound, nid))
-        heapq.heappush(heap_deep, (-depth, -nid))
 
-    push(float("inf"), 0, comp.lo.copy(), comp.hi.copy(), None)
+    push(float("inf"), comp.lo.copy(), comp.hi.copy(), None)
     explored = 0
     lp_iterations = 0
     status = None
@@ -413,27 +408,12 @@ def solve_branch_and_bound(
     def better(obj):
         return incumbent_obj is None or obj > incumbent_obj + 1e-9
 
-    while nodes:
+    while heap:
         if time.monotonic() - t0 > time_limit:
             status = "feasible" if incumbent_obj is not None else "unknown"
             break
-        dfs_mode = len(nodes) > 0.9 * node_cap
-        nid = None
-        if dfs_mode:
-            while heap_deep:
-                _, neg = heapq.heappop(heap_deep)
-                if -neg in nodes:
-                    nid = -neg
-                    break
-        else:
-            while heap_best:
-                _, cand = heapq.heappop(heap_best)
-                if cand in nodes:
-                    nid = cand
-                    break
-        if nid is None:
-            break
-        bound, depth, lo, hi, basis = nodes.pop(nid)
+        neg_bound, _, lo, hi, basis = heapq.heappop(heap)
+        bound = -neg_bound
         if incumbent_obj is not None and bound <= incumbent_obj + 1e-9:
             continue
         explored += 1
@@ -490,12 +470,12 @@ def solve_branch_and_bound(
             bhi = hi.copy()
             blo[best_j] = branch_val
             bhi[best_j] = branch_val
-            push(node_bound, depth + 1, blo, bhi, sol.basis)
+            push(node_bound, blo, bhi, sol.basis)
 
     wall = time.monotonic() - t0
     if status is None:
         status = "optimal" if incumbent_obj is not None else "infeasible"
-    open_bounds = [nodes[k][0] for k in nodes]
+    open_bounds = [-node[0] for node in heap]
     best_bound = max(
         open_bounds + ([incumbent_obj] if incumbent_obj is not None else []),
         default=float("-inf"),

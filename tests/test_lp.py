@@ -14,6 +14,7 @@ from impsched.lp import (
     LE,
     LinearProgram,
     _equilibrate,
+    _NumericalTrouble,
     _Simplex,
     max_violation,
     solve_lp,
@@ -310,9 +311,21 @@ def equilibrated(comp):
     return comp.A * R[:, None] * C[None, :], comp.b * R, c, comp.lo / C, comp.hi / C
 
 
+def explicit_basis(core):
+    """The basis matrix, column by column: a structural column of core.A, or
+    the signed unit column a slack or an artificial stands for."""
+    B = np.zeros((core.nr, core.nr))
+    for pos, j in enumerate(core.basis):
+        if j < core.nv:
+            B[:, pos] = core.A[:, j]
+        else:
+            B[core.unit_row[j - core.nv], pos] = core.unit_sign[j - core.nv]
+    return B
+
+
 def assert_inverse_matches(core):
     """FTRAN and BTRAN through the eta file agree with a fresh solve."""
-    B = core.A[:, core.basis]
+    B = explicit_basis(core)
     rng = np.random.default_rng(0)
     for _ in range(3):
         a = rng.normal(size=core.nr)
@@ -360,26 +373,37 @@ class TestEtaFile:
         drive_out = _Simplex._drive_out_artificials
 
         def recording(self, fixed):
-            before = int((self.basis >= self.ncols).sum())
+            before = int((self.basis >= self.ncols).sum()), self.n_eta
             drive_out(self, fixed)
-            seen.append((before, int((self.basis >= self.ncols).sum()), self.n_eta))
+            after = int((self.basis >= self.ncols).sum()), self.n_eta
+            seen.append((before[0], after[0], after[1] - before[1]))
             assert_inverse_matches(self)
 
         monkeypatch.setattr(_Simplex, "_drive_out_artificials", recording)
         sol = solve_lp(redundant_row_lp())
         assert sol.optimal and sol.objective == pytest.approx(0.0, abs=1e-12)
         assert sol.values["x"] == pytest.approx(2.0)
-        # one artificial pivoted out, the redundant row's stays basic
+        # one pivot takes one artificial out, the redundant row's stays basic
         assert seen == [(2, 1, 1)]
 
 
 class TestSolutionCounters:
-    def test_refactors_and_violation_reported(self):
+    def test_refactors_and_violation_reported(self, monkeypatch):
+        cores = []
+        solve = _Simplex.solve
+
+        def recording(self, *args):
+            cores.append(self)
+            return solve(self, *args)
+
+        monkeypatch.setattr(_Simplex, "solve", recording)
         lp = random_lp(np.random.default_rng(16))
         comp = lp.compile()
         sol = solve_lp(comp)
         assert sol.optimal
-        assert sol.refactors >= 1  # phase 2 ends on a fresh factorization
+        assert sol.refactors == cores[0].refactors
+        # whether or not phase 2 refactored, it ends on an inverse that fits
+        assert_inverse_matches(cores[0])
         x = np.array([sol.values[n] for n in comp.var_names])
         assert sol.violation == max_violation(comp, x)
         assert 0.0 <= sol.violation <= 10 * FEAS_TOL
@@ -431,10 +455,11 @@ def two_var_lp():
     return lp.compile()
 
 
-def near_singular_lp():
+def near_singular_lp(slack_row=False):
     """Three rows, column w = u + v in decimal: np.linalg.inv factors the
     equilibrated basis {u, v, w} without error into a wrong inverse. The
-    objective is zero, so that basis would pass as dual feasible."""
+    objective is zero, so that basis would pass as dual feasible. With
+    slack_row, a fourth row u <= 5 puts a slack beside that kernel."""
     lp = LinearProgram()
     a, b = (0.7, 0.3, 0.1), (0.1, 0.8, 0.9)
     cols = {"u": a, "v": b, "w": tuple(x + y for x, y in zip(a, b))}
@@ -442,6 +467,8 @@ def near_singular_lp():
         lp.add_var(v, 0.0, 10.0)
     for i in range(3):
         lp.add_row(f"r{i}", {v: col[i] for v, col in cols.items()}, LE, 1.0 + i)
+    if slack_row:
+        lp.add_row("r3", {"u": 1.0}, LE, 5.0)
     lp.set_objective("max", {})
     return lp.compile()
 
@@ -553,3 +580,141 @@ class TestWarmStart:
         again = solve_lp(comp, basis=cold.basis)
         assert again.objective == pytest.approx(cold.objective, rel=1e-12)
         assert again.iterations < cold.iterations
+
+
+def kernel_core():
+    """A core on four rows whose start basis holds three slacks and, on the
+    '==' row 3 that x = 0 leaves above its right-hand side, an artificial of
+    sign -1. Columns 0 and 4 are equal."""
+    A = np.array(
+        [
+            [1.0, 2.0, 0.0, 1.0, 1.0],
+            [0.0, 1.0, 3.0, 0.0, 0.0],
+            [2.0, 0.0, 1.0, 1.0, 2.0],
+            [1.0, 1.0, 0.0, 2.0, 1.0],
+        ]
+    )
+    b = np.array([5.0, -1.0, 3.0, -2.0])
+    core = _Simplex(A, b, (LE, GE, LE, EQ), np.ones(5), np.zeros(5), np.full(5, 10.0))
+    core._init_basis()
+    assert core.n_art == 1 and core.unit_sign[-1] == -1.0
+    return core
+
+
+class TestKernelRefactor:
+    NV, ART = 5, 9  # first slack column, the artificial's column
+
+    @pytest.mark.parametrize(
+        "case, basis",
+        [
+            ("structural", [0, 1, 2, 3]),
+            ("unit", [NV + 2, ART, NV + 0, NV + 1]),
+            # structural columns 1 and 4 on rows 1 and 2, the artificial on row 3
+            ("mixed", [1, ART, NV + 0, 4]),
+        ],
+    )
+    def test_inverse_matches_explicit_basis(self, case, basis):
+        core = kernel_core()
+        core.basis = np.array(basis)
+        core._refactor()
+        B = explicit_basis(core)
+        np.testing.assert_allclose(core.B0_inv, np.linalg.inv(B), rtol=0, atol=1e-12)
+        # the basics solve the rows against the nonbasics where they stand
+        np.testing.assert_allclose(core._times(core.x), core.b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            [0, 4, NV + 0, NV + 1],  # equal columns: the kernel is singular
+            [1, 2, NV + 3, ART],  # a slack and the artificial on one row
+        ],
+    )
+    def test_singular_basis_raises(self, basis):
+        core = kernel_core()
+        core.basis = np.array(basis)
+        with pytest.raises(_NumericalTrouble):
+            core._refactor()
+
+    def test_numerically_singular_kernel_is_rejected(self):
+        comp = near_singular_lp(slack_row=True)
+        A, b, c, lo, hi = equilibrated(comp)
+        core = _Simplex(A, b, comp.senses, c, lo, hi)
+        vstat = np.array([2, 2, 2, 0, 0, 0, 2])
+        cost = np.concatenate([c, np.zeros(len(b))])
+        fixed = core.hi - core.lo <= 0.0
+        assert not core._load_basis(vstat, cost, fixed)
+
+
+class TestPolish:
+    """A warm solve refactors in _load_basis; the polish after the dual
+    simplex refactors again only when the eta file fails its residual check."""
+
+    def warm_solve(self, monkeypatch, perturb):
+        qos = scheduling_lps(10)[1]
+        row = qos.row_names.index("energy")
+        start = solve_lp(qos)
+        comp = dataclasses.replace(qos, b=qos.b.copy())
+        comp.b[row] *= 0.7  # a budget of 0.56 eps*: 5 dual pivots
+        seen = []
+        dual = _Simplex._dual
+
+        def recording(self, *args):
+            status = dual(self, *args)
+            seen.append((self.refactors, self.n_eta))
+            if perturb:
+                # on the basic with the largest cost, so that BTRAN carries it into y
+                cost = np.concatenate([self.c_min, np.zeros(self.total - self.nv)])
+                self.eta_p[0, int(np.argmax(np.abs(cost[self.basis])))] += 1e-6
+            return status
+
+        monkeypatch.setattr(_Simplex, "_dual", recording)
+        warm = solve_lp(comp, basis=start.basis)
+        cold = solve_lp(comp)
+        assert warm.optimal and warm.objective == pytest.approx(cold.objective, rel=1e-9)
+        # one load refactor, then a few dual pivots in the eta file
+        assert len(seen) == 1 and seen[0][0] == 1 and 0 < seen[0][1] < 10
+        return warm
+
+    def test_clean_pivots_keep_the_load_factorization(self, monkeypatch):
+        assert self.warm_solve(monkeypatch, perturb=False).refactors == 1
+
+    def test_failed_residual_check_refactors(self, monkeypatch):
+        assert self.warm_solve(monkeypatch, perturb=True).refactors == 2
+
+
+def max_violation_loop(comp, x):
+    """max_violation row by row, as it was written before it took arrays."""
+    worst = 0.0
+    act = comp.A @ x
+    scale = np.maximum(1.0, np.abs(comp.A).max(axis=1, initial=0.0))
+    scale = np.maximum(scale, np.abs(comp.b))
+    for i, sense in enumerate(comp.senses):
+        if sense == LE:
+            v = act[i] - comp.b[i]
+        elif sense == GE:
+            v = comp.b[i] - act[i]
+        else:
+            v = abs(act[i] - comp.b[i])
+        worst = max(worst, v / scale[i])
+    bscale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(comp.lo)))
+    return max(worst, float(((comp.lo - x) / bscale).max()), float(((x - comp.hi) / bscale).max()))
+
+
+class TestScalingCache:
+    def test_solves_of_one_program_share_its_scaling(self):
+        comp = scheduling_lps(10)[1]
+        assert comp._scaled is None
+        first = solve_lp(comp)
+        scaled = comp._scaled
+        again = solve_lp(comp, basis=first.basis)
+        assert comp._scaled is scaled and not scaled[2].flags.writeable
+        assert again.objective == pytest.approx(first.objective, rel=1e-12)
+        # a program with another right-hand side starts with an empty cache
+        assert dataclasses.replace(comp, b=comp.b * 0.9)._scaled is None
+
+    def test_max_violation_matches_row_loop(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            comp = random_lp(rng).compile()
+            x = rng.uniform(-1.0, 13.0, len(comp.var_names))
+            assert max_violation(comp, x) == max_violation_loop(comp, x)
