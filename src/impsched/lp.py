@@ -134,6 +134,7 @@ class LinearProgram:
                 A[i, self._var_index[v]] = a
             b[i] = rhs
             senses.append(sense)
+        A.flags.writeable = False  # the solver caches what it derives from A
         c = np.zeros(nv)
         for v, a in self._obj.items():
             c[self._var_index[v]] = a
@@ -157,7 +158,7 @@ class CompiledLP:
     var_names: tuple[str, ...]
     var_index: dict[str, int]
     row_names: tuple[str, ...]
-    A: np.ndarray
+    A: np.ndarray  # read-only; a program with another A needs dataclasses.replace
     b: np.ndarray
     senses: tuple[str, ...]
     c: np.ndarray
@@ -288,7 +289,13 @@ class _Simplex:
     RATIO_TOL = 1e-9
     PRIMAL_TOL = 1e-9  # the dual simplex takes basics this far past a bound as feasible
     REFACTOR_EVERY = 128
-    RESID_TOL = 1e-10  # relative; a tenth of _dual_tol for the dual residual
+    # Relative to the largest |b|, |x| (primal) or |c| (dual). It bounds the
+    # residuals, not the reduced-cost error: a dual residual r moves the
+    # reduced cost of column j by r B^-1 a_j, more on an ill-conditioned basis.
+    # Set from measurement: on the benchmark workloads primal residuals stay
+    # below 2e-15, dual ones reach 6e-10 (those solves refactor), and the
+    # solutions agree with HiGHS and the recorded objectives.
+    RESID_TOL = 1e-10
 
     def __init__(self, A, b, senses, c_min, lo, hi):
         nr, nv = A.shape

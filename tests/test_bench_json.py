@@ -32,13 +32,12 @@ def test_folds_parent_and_change(tmp_path):
         write_result(change, seed, c_wall, 4100)
     write_result(parent, 0, 3.0, 4137, trace=1, iterations=4138)
     write_result(change, 0, 2.0, 4100, trace=1, iterations=4086)
-    out = tmp_path / "BENCH_test.json"
     subprocess.run(
         [sys.executable, str(SCRIPT), "--tag", "test", "--parent", str(parent),
-         "--change", str(change), "--out", str(out)],
-        check=True, capture_output=True,
+         "--change", str(change)],
+        check=True, capture_output=True, cwd=tmp_path,
     )
-    bench = json.loads(out.read_text())
+    bench = json.loads((tmp_path / "BENCH_test.json").read_text())
     assert bench["tag"] == "test"
     assert bench["src_lines"] == {"parent": 4137, "change": 4100}
     assert bench["environment"]["numpy"] == "2.0.0"
@@ -54,7 +53,8 @@ def test_folds_parent_and_change(tmp_path):
 def test_empty_directory_is_an_error(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), "--tag", "x", "--parent", str(tmp_path),
-         "--change", str(tmp_path), "--out", str(tmp_path / "out.json")],
-        capture_output=True, text=True,
+         "--change", str(tmp_path)],
+        capture_output=True, text=True, cwd=tmp_path,
     )
     assert proc.returncode != 0 and "no result-*.json" in proc.stderr
+    assert not (tmp_path / "BENCH_x.json").exists()

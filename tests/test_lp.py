@@ -712,6 +712,13 @@ class TestScalingCache:
         # a program with another right-hand side starts with an empty cache
         assert dataclasses.replace(comp, b=comp.b * 0.9)._scaled is None
 
+    def test_compiled_matrix_is_read_only(self):
+        # the cache derives from A, so A cannot change under it
+        comp = scheduling_lps(10)[1]
+        solve_lp(comp)
+        with pytest.raises(ValueError):
+            comp.A[0, 0] = 1.0
+
     def test_max_violation_matches_row_loop(self):
         rng = np.random.default_rng(17)
         for _ in range(50):

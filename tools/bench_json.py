@@ -1,6 +1,6 @@
 """Fold the benchmark results of a parent and a change into one BENCH file.
 
-    python3 tools/bench_json.py --tag TAG --parent DIR --change DIR [--out FILE]
+    python3 tools/bench_json.py --tag TAG --parent DIR --change DIR
 
 DIR holds the `result-<workload>-seed<N>-trace<T>.json` files that
 `perfbench/run.py` wrote, usually a checkout's `.perfbench/`. For every
@@ -9,7 +9,7 @@ over the runs found, untraced runs for the end-to-end metrics and traced ones
 for the per-layer metrics; for end-to-end metrics also how many pairs of runs
 at the same seed the change won. It also records the environment of the
 runs and the `src/` line count of both sides. The output goes to
-BENCH_<TAG>.json in the current directory unless --out names a file.
+BENCH_<TAG>.json in the current directory.
 """
 
 from __future__ import annotations
@@ -41,10 +41,7 @@ def summary(values: list[float]) -> dict:
 
 def directions() -> dict[str, str]:
     """Metric name -> "lower" or "higher", as BENCHMARK.json declares it."""
-    path = ROOT / "BENCHMARK.json"
-    if not path.is_file():
-        return {}
-    spec = json.loads(path.read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
@@ -100,7 +97,6 @@ def main(argv=None) -> int:
     p.add_argument("--tag", required=True)
     p.add_argument("--parent", required=True, type=Path)
     p.add_argument("--change", required=True, type=Path)
-    p.add_argument("--out", type=Path)
     args = p.parse_args(argv)
     parent, change = load_runs(args.parent), load_runs(args.change)
     bench = {
@@ -112,7 +108,7 @@ def main(argv=None) -> int:
         },
         "workloads": fold(parent, change),
     }
-    out = args.out or Path(f"BENCH_{args.tag}.json")
+    out = Path(f"BENCH_{args.tag}.json")
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     print(out)
     return 0
