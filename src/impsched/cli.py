@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from pathlib import Path
 
@@ -40,10 +41,12 @@ from .sweep import (
     sweep_graph,
 )
 from .taskgraph import (
+    GeneratorError,
     GeneratorParams,
     GraphFormatError,
     MANDATORY_REGIMES,
     TaskGraph,
+    check_params,
     generate_random_graph,
     normalize_source,
     parse_task_graph,
@@ -66,6 +69,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _check_positive(name: str, value):
+    """value if it is a finite number above 0, else a UsageError naming it."""
+    if not 0 < value < math.inf:  # also false for nan
+        raise UsageError(f"{name} must be a positive finite number, got {value}")
+    return value
+
+
+def _check_finite(name: str, value):
+    if not math.isfinite(value):
+        raise UsageError(f"{name} must be a finite number, got {value}")
+    return value
+
+
 # --- configuration ----------------------------------------------------------
 
 def load_platform(
@@ -84,21 +100,29 @@ def load_platform(
             raise UsageError(f"cannot read config file {config_path!r}")
         if cp.has_section("platform"):
             sec = cp["platform"]
-            alpha, beta, gamma, delta = platform.power.to_ghz_mw()
-            alpha = sec.getfloat("alpha", alpha)
-            beta = sec.getfloat("beta", beta)
-            gamma = sec.getfloat("gamma", gamma)
-            delta = sec.getfloat("delta", delta)
-            power = PowerModel.from_ghz_mw(alpha, beta, gamma, delta)
-            if "freqs_ghz" in sec:
-                freqs = FrequencySet(
-                    tuple(float(t) * 1e9 for t in sec["freqs_ghz"].replace(",", " ").split())
-                )
-            else:
-                freqs = platform.freqs
-            platform = PlatformConfig(power, freqs, sec.getint("procs", platform.procs))
+            try:
+                constants = [
+                    _check_finite(key, sec.getfloat(key, default))
+                    for key, default in zip(
+                        ("alpha", "beta", "gamma", "delta"), platform.power.to_ghz_mw()
+                    )
+                ]
+                power = PowerModel.from_ghz_mw(*constants)
+                if "freqs_ghz" in sec:
+                    freqs = FrequencySet(
+                        tuple(
+                            _check_finite("freqs_ghz", float(t)) * 1e9
+                            for t in sec["freqs_ghz"].replace(",", " ").split()
+                        )
+                    )
+                else:
+                    freqs = platform.freqs
+                procs_cfg = sec.getint("procs", platform.procs)
+            except ValueError as exc:
+                raise UsageError(f"[platform] in {config_path!r}: {exc}")
+            platform = PlatformConfig(power, freqs, _check_positive("procs", procs_cfg))
     if procs is not None:
-        platform = PlatformConfig(platform.power, platform.freqs, procs)
+        platform = PlatformConfig(platform.power, platform.freqs, _check_positive("--procs", procs))
     if no_insertion or lp_comm:
         platform = PlatformConfig(
             platform.power,
@@ -130,14 +154,17 @@ def load_generator_params(config_path: str | None, args) -> GeneratorParams:
             sec = cp["generator"]
             for key in values:
                 if key in sec:
-                    if isinstance(values[key], bool):
-                        values[key] = sec.getboolean(key)
-                    elif isinstance(values[key], int):
-                        values[key] = sec.getint(key)
-                    elif isinstance(values[key], float):
-                        values[key] = sec.getfloat(key)
-                    else:
-                        values[key] = sec[key]
+                    try:
+                        if isinstance(values[key], bool):
+                            values[key] = sec.getboolean(key)
+                        elif isinstance(values[key], int):
+                            values[key] = sec.getint(key)
+                        elif isinstance(values[key], float):
+                            values[key] = sec.getfloat(key)
+                        else:
+                            values[key] = sec[key]
+                    except ValueError as exc:
+                        raise UsageError(f"[generator] {key} in {config_path!r}: {exc}")
     for key in (
         "n_tasks",
         "max_in_degree",
@@ -156,7 +183,12 @@ def load_generator_params(config_path: str | None, args) -> GeneratorParams:
     if getattr(args, "exclude_extension_from_deadline", False):
         values["include_extension_in_deadline"] = False
     comm = (values.pop("comm_min_ms") * 1e-3, values.pop("comm_max_ms") * 1e-3)
-    return GeneratorParams(comm_range=comm, **values)
+    params = GeneratorParams(comm_range=comm, **values)
+    try:
+        check_params(params)
+    except GeneratorError as exc:
+        raise UsageError(str(exc))
+    return params
 
 
 def load_sweep_config(config_path: str | None, args) -> SweepConfig:
@@ -169,9 +201,12 @@ def load_sweep_config(config_path: str | None, args) -> SweepConfig:
             raise UsageError(f"cannot read config file {config_path!r}")
         if cp.has_section("sweep"):
             sec = cp["sweep"]
-            resolution = sec.getfloat("resolution", resolution)
-            methods = sec.get("methods", methods)
-            time_limit = sec.getfloat("time_limit", time_limit)
+            try:
+                resolution = sec.getfloat("resolution", resolution)
+                methods = sec.get("methods", methods)
+                time_limit = sec.getfloat("time_limit", time_limit)
+            except ValueError as exc:
+                raise UsageError(f"[sweep] in {config_path!r}: {exc}")
     if getattr(args, "resolution", None) is not None:
         resolution = args.resolution
     if getattr(args, "methods", None) is not None:
@@ -182,7 +217,7 @@ def load_sweep_config(config_path: str | None, args) -> SweepConfig:
         return SweepConfig(
             resolution=resolution,
             methods=tuple(m.strip() for m in methods.split(",") if m.strip()),
-            milp_time_limit=time_limit,
+            milp_time_limit=_check_positive("time limit", time_limit),
         )
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -345,10 +380,11 @@ def _write_out(out: str | None, text: str) -> None:
 
 def _eps_from_args(g, platform, args) -> float:
     if getattr(args, "eps_max", None) is not None:
-        return args.eps_max
+        return _check_finite("--eps-max", args.eps_max)
     ratio = getattr(args, "eps_ratio", None)
     if ratio is None:
         ratio = 1.0
+    _check_finite("--eps-ratio", ratio)
     star, _, _ = epsilon_star(g, platform)
     return ratio * star
 
@@ -356,6 +392,7 @@ def _eps_from_args(g, platform, args) -> float:
 def cmd_generate(args) -> int:
     params = load_generator_params(args.config, args)
     platform = _platform_from(args)
+    _check_positive("--count", args.count)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
@@ -411,9 +448,9 @@ def _run_single(args, method: str) -> int:
     elif method == "baseline":
         out = run_baseline(g, platform, eps_max)
     else:
-        out = run_milp(
-            g, platform, eps_max, time_limit=args.time_limit or 600.0
-        )
+        # the sweep's time-limit default and check, without its config file
+        time_limit = load_sweep_config(None, args).milp_time_limit
+        out = run_milp(g, platform, eps_max, time_limit=time_limit)
     if not out.feasible:
         print(f"{method}: infeasible at eps_max {_fmt(eps_max)} J")
         return EXIT_INFEASIBLE
@@ -526,8 +563,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    try:
+        text = Path(args.points).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read points file {args.points!r}: {exc}")
     points = []
-    for line_no, raw in enumerate(Path(args.points).read_text().splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,26 +1,33 @@
 """Linear-program container and a self-contained bounded-variable simplex solver.
 
-The solver is a dense two-phase revised simplex, Dantzig pricing with a Bland
-fallback for anti-cycling, and power-of-two equilibration so cycle counts
-(~1e6) and seconds (~1e-3) coexist in one tableau; a CompiledLP keeps its
-equilibration, so repeated solves of one program (branch-and-bound nodes)
-scale it once. The basis inverse is kept in product form: a dense inverse of
-the basis at the last refactorization times an eta file of rank-1 pivot
-updates, so a pivot costs O(m*k) for k updates instead of rewriting an m x m
-matrix. Slack and artificial columns are signed unit columns and are never
-built: pricing, column reads and row activities treat them as (row, sign)
-pairs, and a refactorization inverts only the structural kernel of the
+The solver is a dense revised simplex with power-of-two equilibration, so
+cycle counts (~1e6) and seconds (~1e-3) coexist in one tableau; a CompiledLP
+keeps its equilibration, so repeated solves of one program (branch-and-bound
+nodes) scale it once. The basis inverse is kept in product form: a dense
+inverse of the basis at the last refactorization times an eta file of rank-1
+pivot updates, so a pivot costs O(m*k) for k updates instead of rewriting an
+m x m matrix. Slack and artificial columns are signed unit columns and are
+never built: pricing, column reads and row activities treat them as (row,
+sign) pairs, and a refactorization inverts only the structural kernel of the
 basis, the rows its unit columns leave uncovered. A solve ends on the eta
 file as it stands unless it fails a residual check, and refactors only then.
 Solutions are re-checked against the original data before being reported;
 numerical trouble is surfaced as a status, never silently.
 
-A solve may start from the basis of an earlier solve of the same program
-(LPSolution.basis). If that basis still fits (see _Simplex._load_basis), a
-bounded dual simplex restores primal feasibility after a change of the
-right-hand side or of variable bounds, or proves that none exists, and the
-primal simplex polishes the result; a basis that does not fit falls back to
-the cold two-phase start.
+A solve starts from the first of these that fits (_Simplex.solve):
+  warm       the basis of an earlier solve of the same program
+             (LPSolution.basis), after a change of the right-hand side or
+             of variable bounds;
+  slack      every slack basic and every structural column on the bound its
+             cost prefers, which is dual feasible whenever those bounds are
+             finite (the scheduling and MILP programs are boxed that way);
+  two-phase  phase 1 on artificials, then the primal simplex, when a
+             preferred bound is infinite.
+From a warm or slack basis a bounded dual simplex, with reduced costs
+updated in place between refactorizations, restores primal feasibility or
+proves that none exists, and the primal simplex (Dantzig pricing with a
+Bland fallback for anti-cycling) polishes the result. LPSolution.start
+records which start a solve took.
 
 Dual conventions (reduced cost rc = c - A^T y):
   min: '<=' rows carry y <= 0, '>=' rows y >= 0; x at lower bound -> rc >= 0,
@@ -188,6 +195,10 @@ class LPSolution:
     # 1 at upper, 2 basic, 3 free nonbasic), to warm-start a later solve of
     # the same program; set when optimal, or infeasible by the dual simplex
     basis: np.ndarray | None = None
+    # how the simplex started: "warm" (the caller's basis), "slack" (the
+    # slack basis, dual simplex) or "two-phase" (phase 1 on artificials);
+    # "" when no simplex ran (an empty variable box or no rows)
+    start: str = ""
 
     @property
     def optimal(self) -> bool:
@@ -225,31 +236,32 @@ def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Balances rows and columns whose nonzeros span many orders of magnitude,
     e.g. cycle counts next to per-cycle energies; max-norm scaling alone
-    cannot fix a column whose largest coefficient is already O(1).
+    cannot fix a column whose largest coefficient is already O(1). Works on
+    the nonzeros only: the scheduling programs are about 1% dense.
     """
     nr, nc = A.shape
     R = np.ones(nr)
     C = np.ones(nc)
-    M = np.abs(A)
-    with np.errstate(invalid="ignore"):
-        for _ in range(2):
-            S = M * R[:, None] * C[None, :]
-            rmax = S.max(axis=1, initial=0.0)
-            rmin = np.where(S > 0, S, np.inf).min(axis=1, initial=np.inf)
-            rs = np.where(
-                (rmax > 0) & np.isfinite(rmin), np.sqrt(rmax * rmin), 1.0
-            )
-            R *= _pow2_scale(rs)
-            S = M * R[:, None] * C[None, :]
-            cmax = S.max(axis=0, initial=0.0)
-            cmin = np.where(S > 0, S, np.inf).min(axis=0, initial=np.inf)
-            cs = np.where(
-                (cmax > 0) & np.isfinite(cmin), np.sqrt(cmax * cmin), 1.0
-            )
-            C *= _pow2_scale(cs)
+    rows, cols = np.nonzero(A)
+    M = np.abs(A[rows, cols])
+
+    def extremes(index, n):
+        S = M * R[rows] * C[cols]
+        hi = np.zeros(n)
+        np.maximum.at(hi, index, S)
+        lo = np.full(n, np.inf)
+        np.minimum.at(lo, index, np.where(S > 0, S, np.inf))
+        return hi, lo
+
+    def mean_scale(hi, lo):
+        with np.errstate(invalid="ignore"):
+            return _pow2_scale(np.where((hi > 0) & np.isfinite(lo), np.sqrt(hi * lo), 1.0))
+
+    for _ in range(2):
+        R *= mean_scale(*extremes(rows, nr))
+        C *= mean_scale(*extremes(cols, nc))
     # final row pass so every row's largest entry is near 1
-    S = M * R[:, None] * C[None, :]
-    R *= _pow2_scale(S.max(axis=1, initial=0.0))
+    R *= _pow2_scale(extremes(rows, nr)[0])
     return R, C
 
 
@@ -271,7 +283,7 @@ def _dual_tol(c: np.ndarray) -> float:
 
 
 class _Simplex:
-    """Two-phase bounded-variable simplex on pre-scaled dense data (nr >= 1).
+    """Bounded-variable simplex on pre-scaled dense data (nr >= 1).
 
     The columns are [A | U]: the nv structural columns of A, then unit
     columns, one slack per row and the artificials of phase 1, each held as
@@ -283,6 +295,11 @@ class _Simplex:
     The file holds REFACTOR_EVERY updates; filling it forces a refactor.
     A refactorization inverts only the basis's structural kernel (_refactor);
     the end of a solve refactors only when the basis fails _residuals_ok.
+
+    solve() loads a caller's basis or the slack basis through _load_basis
+    and runs the dual simplex (_dual) from it; only when neither fits does
+    it build the two-phase start (_init_basis, phase 1,
+    _drive_out_artificials).
     """
 
     PIV_TOL = 1e-9
@@ -578,7 +595,7 @@ class _Simplex:
         It fits when it has the right length and exactly nr basics, puts every
         nonbasic on a finite bound, refactors to a nonsingular inverse, and is
         dual feasible for c. A basis that does not fit leaves nothing behind
-        that the cold start does not overwrite.
+        that the next start does not overwrite.
         """
         vstat = np.asarray(vstat)
         if vstat.shape != (self.ncols,):
@@ -616,38 +633,47 @@ class _Simplex:
         Each iteration takes the basic with the largest bound violation out
         to that bound; the entering column is the one with the smallest
         ratio |d_j / alpha_j| over the row alpha = e_r^T B^-1 A, ties broken
-        toward the largest |alpha_j|. Returns "optimal" once every basic is
-        within its bounds, "infeasible" when no column can repair the row.
+        toward the largest |alpha_j|. The reduced costs self.d are computed
+        after each refactorization and otherwise updated in place from that
+        row, d -= (d_q / alpha_q) alpha. Returns "optimal" once every basic
+        is within its bounds, "infeasible" when no column can repair the row.
         """
         tol_d = _dual_tol(c)
         e_r = np.zeros(self.nr)
+        priced = -1  # the refactorization self.d was computed on
+        # +1 for a column at its lower bound, -1 at its upper; 0 for basic
+        # and fixed columns, which never enter
+        side = np.where(self.vstat == 0, 1.0, -1.0)
+        side[self.in_basis | fixed] = 0.0
+        loB, hiB = self.lo[self.basis], self.hi[self.basis]
         while True:
             xB = self.x[self.basis]
-            below = self.lo[self.basis] - xB
-            infeas = np.maximum(below, xB - self.hi[self.basis])
+            below = loB - xB
+            infeas = np.maximum(below, xB - hiB)
             r = int(np.argmax(infeas))
             if infeas[r] <= self.PRIMAL_TOL:
                 return "optimal"
             if self.iterations >= maxiter:
                 return "iteration_limit"
             self.iterations += 1
+            if priced != self.refactors:
+                self.d = c - self._prices(self._btran(c[self.basis]))
+                priced = self.refactors
+            d = self.d
             e_r[r] = 1.0
             alpha = self._prices(self._btran(e_r))
             e_r[r] = 0.0
-            d = c - self._prices(self._btran(c[self.basis]))
-            # s = +1: the leaving basic rises to its lower bound; -1: falls to its upper
+            # s = +1: the leaving basic rises to its lower bound; -1: falls to
+            # its upper. Column j can enter when moving it off its bound moves
+            # the basic that way: s * side_j * alpha_j < 0.
             s = 1.0 if below[r] > 0 else -1.0
-            a = s * alpha
-            at_lo = self.vstat == 0
-            elig = ~self.in_basis & ~fixed & (
-                (at_lo & (a < -self.PIV_TOL)) | ((self.vstat == 1) & (a > self.PIV_TOL))
-            )
+            a = (s * side) * alpha
+            elig = a < -self.PIV_TOL
             if not elig.any():
                 # the cold start, too, takes up to FEAS_TOL of residual as feasible
                 return "infeasible" if infeas[r] > FEAS_TOL else "optimal"
-            slack_d = np.maximum(np.where(at_lo, d, -d), 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(elig, slack_d / np.abs(alpha), INF)
+                ratio = np.where(elig, np.maximum(side * d, 0.0) / -a, INF)
             cand = np.nonzero(ratio <= ratio.min() + tol_d)[0]
             q = int(cand[np.argmax(np.abs(alpha[cand]))])
 
@@ -658,21 +684,47 @@ class _Simplex:
                 self._refactor()
                 continue
             leaving = int(self.basis[r])
-            bound = self.lo[leaving] if s > 0 else self.hi[leaving]
+            bound = loB[r] if s > 0 else hiB[r]
             theta = (xB[r] - bound) / w[r]
             self.x[self.basis] = xB - theta * w
             self.x[q] += theta
             self.x[leaving] = bound
             self.vstat[leaving] = 0 if s > 0 else 1
+            side[leaving] = 0.0 if fixed[leaving] else s
+            side[q] = 0.0
+            loB[r], hiB[r] = self.lo[q], self.hi[q]
+            # alpha is 1 at the leaving column, so it takes -d_q / alpha_q
+            d -= (d[q] / alpha[q]) * alpha
+            d[q] = 0.0
             self._pivot(r, q, w)
+
+    def _slack_basis(self):
+        """The vstat of the all-slack basis: every slack basic, every
+        structural column on the bound its cost prefers (upper when c_j < 0,
+        otherwise lower). With y = 0 the reduced costs are c, so the basis is
+        dual feasible unless a preferred bound is infinite, which
+        _load_basis rejects."""
+        vstat = np.full(self.ncols, 2, dtype=np.int8)
+        vstat[: self.nv] = self.c_min < 0
+        return vstat
 
     def solve(self, maxiter, basis=None):
         """Returns (status, x, y, vstat); vstat covers the structural and slack
-        columns and is None unless optimal or infeasible by the dual simplex."""
+        columns and is None unless optimal or infeasible by the dual simplex.
+
+        The start is the caller's basis where it fits, else the slack basis
+        where it is dual feasible, else the two-phase start; self.start
+        names it ("warm", "slack" or "two-phase")."""
         c = np.zeros(self.ncols)
         c[: self.nv] = self.c_min
         fixed = self.hi - self.lo <= 0.0
         if basis is not None and self._load_basis(basis, c, fixed):
+            self.start = "warm"
+        elif self._load_basis(self._slack_basis(), c, fixed):
+            self.start = "slack"
+        else:
+            self.start = "two-phase"
+        if self.start != "two-phase":
             status = self._dual(c, fixed, maxiter)
             if status == "infeasible":
                 return "infeasible", None, None, self.vstat.copy()
@@ -775,11 +827,12 @@ def solve_lp(problem, lower=None, upper=None, basis=None) -> LPSolution:
         core = _Simplex(As, bs, comp.senses, cs, los, his)
         status, xs, ys, vstat = core.solve(maxiter, basis)
     except _NumericalTrouble as exc:
-        return LPSolution("numerical", None, {}, {}, {}, 0, str(exc))
+        return LPSolution("numerical", None, {}, {}, {}, 0, str(exc), start=core.start)
 
     if status != "optimal":
         return LPSolution(
-            status, None, {}, {}, {}, core.iterations, refactors=core.refactors, basis=vstat
+            status, None, {}, {}, {}, core.iterations,
+            refactors=core.refactors, basis=vstat, start=core.start,
         )
 
     # the ratio test tolerates basics up to FEAS_TOL past a bound; put them
@@ -800,6 +853,7 @@ def solve_lp(problem, lower=None, upper=None, basis=None) -> LPSolution:
             f"solution violates original rows by {viol:.2e}",
             refactors=core.refactors,
             violation=viol,
+            start=core.start,
         )
 
     y_min = ys * R
@@ -811,7 +865,7 @@ def solve_lp(problem, lower=None, upper=None, basis=None) -> LPSolution:
     rcs = {n: float(rc_user[j]) for j, n in enumerate(comp.var_names)}
     return LPSolution(
         "optimal", obj, values, duals, rcs, core.iterations,
-        refactors=core.refactors, violation=viol, basis=vstat,
+        refactors=core.refactors, violation=viol, basis=vstat, start=core.start,
     )
 
 

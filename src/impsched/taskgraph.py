@@ -30,6 +30,7 @@ __all__ = [
     "parse_task_graph",
     "serialize_task_graph",
     "generate_random_graph",
+    "check_params",
 ]
 
 # Sentinel optional size (cycles) for tasks that have no real optional part.
@@ -447,7 +448,8 @@ class GeneratorParams:
     include_extension_in_deadline: bool = True
 
 
-def _check_params(p: GeneratorParams) -> None:
+def check_params(p: GeneratorParams) -> None:
+    """Raise GeneratorError unless generate_random_graph can use p."""
     if p.n_tasks < 1:
         raise GeneratorError("n_tasks must be >= 1")
     if p.max_in_degree < 1 or p.max_out_degree < 1:
@@ -460,8 +462,8 @@ def _check_params(p: GeneratorParams) -> None:
             f"expected one of {sorted(MANDATORY_REGIMES)}"
         )
     lo, hi = p.comm_range
-    if lo < 0 or hi < lo:
-        raise GeneratorError("comm_range must satisfy 0 <= lo <= hi")
+    if not 0 <= lo <= hi < math.inf:  # also false for nan
+        raise GeneratorError("comm_range must satisfy 0 <= lo <= hi, both finite")
 
 
 def _layered_topology(p: GeneratorParams, rng: random.Random):
@@ -522,7 +524,7 @@ def generate_random_graph(p: GeneratorParams, f_max: float = 2.1e9) -> TaskGraph
     calls differing only in regime share topology, initial workloads,
     extensions (relative to M) and thresholds.
     """
-    _check_params(p)
+    check_params(p)
     rng = random.Random(p.seed)
     parents = _layered_topology(p, rng)
 

@@ -331,3 +331,41 @@ def tighten_loop(comp, bin_idx, lo, hi, int_tol: float = 1e-6) -> bool:
         if not changed:
             break
     return not np.any(lo > hi)
+
+
+# --- equilibration on the dense matrix -----------------------------------------
+
+def _pow2_reciprocal(values: np.ndarray) -> np.ndarray:
+    """1/values rounded to the nearest power of two; 1 where values <= 0."""
+    out = np.ones_like(values)
+    mask = values > 0
+    out[mask] = np.exp2(-np.round(np.log2(values[mask])))
+    return out
+
+
+def equilibrate_dense(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Geometric-mean row/column scaling computed on the whole dense matrix:
+    two rounds of row then column scaling by sqrt(max * min) of the scaled
+    nonzeros, then a row pass by the row maxima. Reference for the
+    nonzeros-only impsched.lp._equilibrate, which must agree bit for bit."""
+    nr, nc = A.shape
+    R = np.ones(nr)
+    C = np.ones(nc)
+    M = np.abs(A)
+    with np.errstate(invalid="ignore"):
+        for _ in range(2):
+            S = M * R[:, None] * C[None, :]
+            rmax = S.max(axis=1, initial=0.0)
+            rmin = np.where(S > 0, S, np.inf).min(axis=1, initial=np.inf)
+            R *= _pow2_reciprocal(
+                np.where((rmax > 0) & np.isfinite(rmin), np.sqrt(rmax * rmin), 1.0)
+            )
+            S = M * R[:, None] * C[None, :]
+            cmax = S.max(axis=0, initial=0.0)
+            cmin = np.where(S > 0, S, np.inf).min(axis=0, initial=np.inf)
+            C *= _pow2_reciprocal(
+                np.where((cmax > 0) & np.isfinite(cmin), np.sqrt(cmax * cmin), 1.0)
+            )
+    S = M * R[:, None] * C[None, :]
+    R *= _pow2_reciprocal(S.max(axis=1, initial=0.0))
+    return R, C

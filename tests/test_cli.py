@@ -234,3 +234,38 @@ class TestUsage:
 
     def test_bad_graph_path(self):
         assert run("label /does/not/exist.tg") == 1
+
+    @pytest.mark.parametrize(
+        "cmd, config",
+        [
+            ("schedule {graph} --eps-ratio nan", None),
+            ("baseline {graph} --eps-ratio inf", None),
+            ("schedule {graph} --eps-max nan", None),
+            ("schedule {graph} --procs 0", None),
+            ("schedule {graph} --procs -3", None),
+            ("generate --n 0 --out {tmp}", None),
+            ("generate --count -1 --out {tmp}", None),
+            ("generate --comm-min-ms nan --out {tmp}", None),
+            ("fit {tmp}/missing.txt", None),
+            ("milp {tiny} --eps-ratio 0.9 --time-limit -1", None),
+            ("milp {tiny} --eps-ratio 0.9 --time-limit nan", None),
+            ("schedule {graph} --config {cfg}", "[platform]\nprocs = 0\n"),
+            ("schedule {graph} --config {cfg}", "[platform]\nalpha = nan\n"),
+            ("schedule {graph} --config {cfg}", "[platform]\nfreqs_ghz = 1.0, inf\n"),
+            ("generate --config {cfg} --out {tmp}", "[generator]\nn_tasks = 0\n"),
+            ("generate --config {cfg} --out {tmp}", "[generator]\nseed = x\n"),
+            ("sweep {graph} --methods proposed --config {cfg}", "[sweep]\ntime_limit = nan\n"),
+        ],
+    )
+    def test_bad_number_is_one_line_error(self, cmd, config, graph_file, tmp_path, capsys):
+        tiny = tmp_path / "tiny"
+        assert run(f"generate --n 3 --count 1 --seed 5 --out {tiny}") == 0
+        (tiny_graph,) = tiny.glob("*.tg")
+        cfg = tmp_path / "conf.ini"
+        if config is not None:
+            cfg.write_text(config)
+        capsys.readouterr()
+        argv = cmd.format(graph=graph_file, tiny=tiny_graph, tmp=tmp_path / "out", cfg=cfg)
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err

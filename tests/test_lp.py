@@ -21,7 +21,7 @@ from impsched.lp import (
     write_lp_file,
 )
 from impsched.taskgraph import GeneratorParams, generate_random_graph
-from oracles import dual_certificate_ok
+from oracles import dual_certificate_ok, equilibrate_dense
 
 
 def random_lp(rng, feasible=True):
@@ -337,10 +337,12 @@ def assert_inverse_matches(core):
 
 def redundant_row_lp():
     """z is fixed at 0, so row b's artificial ties with row a's when x enters
-    and ends phase 1 basic at zero; row c repeats row a."""
+    and ends phase 1 basic at zero; row c repeats row a. y, which the
+    objective raises, has no upper bound, so the slack basis is not dual
+    feasible and the solve takes the two-phase start."""
     lp = LinearProgram()
     lp.add_var("x", 0, 10)
-    lp.add_var("y", 0, 10)
+    lp.add_var("y", 0, INF)
     lp.add_var("z", 0, 0)
     lp.add_row("a", {"x": 1.0, "y": 1.0}, EQ, 2.0)
     lp.add_row("b", {"x": 1.0, "z": 1.0}, EQ, 2.0)
@@ -437,7 +439,8 @@ class TestSchedulingLPsAgainstHighs:
     def test_objectives_match_highs(self, n):
         for comp in scheduling_lps(n):
             sol = solve_lp(comp)
-            assert sol.optimal
+            # every column is boxed on the side its cost points to
+            assert sol.optimal and sol.start == "slack"
             status, ref = highs_objective(comp)
             assert status == "optimal"
             assert sol.objective == pytest.approx(ref, rel=1e-9)
@@ -491,10 +494,13 @@ class TestWarmStart:
                 assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
                 assert warm.objective == pytest.approx(ref, rel=1e-9)
             elif basis is not None:
-                # the dual simplex proved it and hands back a dual feasible basis
-                assert warm.basis is not None and cold.basis is None
+                # the dual simplex proved it, from either start, and hands
+                # back a dual feasible basis
+                assert warm.basis is not None and cold.basis is not None
                 proved_infeasible += 1
+            assert cold.start == "slack"
             if basis is not None:
+                assert warm.start == "warm"
                 assert warm.iterations < cold.iterations
             basis = warm.basis
         assert proved_infeasible >= 2
@@ -551,6 +557,8 @@ class TestWarmStart:
             "dual_infeasible": np.array([0, 0, 2, 0, 2]),
         }[case]
         got = solve_lp(comp, basis=basis)
+        # the slack start comes next, as for a solve with no basis
+        assert got.start == cold.start == "slack"
         assert got.status == cold.status
         assert got.objective == cold.objective
         assert got.iterations == cold.iterations
@@ -645,6 +653,61 @@ class TestKernelRefactor:
         assert not core._load_basis(vstat, cost, fixed)
 
 
+def unboxed_lp(case):
+    """max x + y over two rows, x boxed; y is free, or has no upper bound
+    although the objective raises it."""
+    lp = LinearProgram()
+    lp.add_var("x", 0.0, 4.0)
+    lp.add_var("y", -INF if case == "free" else 0.0, INF)
+    lp.add_row("a", {"x": 1.0, "y": 1.0}, LE, 5.0)
+    lp.add_row("b", {"x": -1.0, "y": 2.0}, GE, -1.0 if case == "free" else 1.0)
+    lp.set_objective("max", {"x": 1.0, "y": 1.0 if case == "no_upper" else 0.5})
+    return lp
+
+
+class TestColdStart:
+    """A cold solve starts from the slack basis with the dual simplex when
+    every structural column can sit on the bound its cost prefers, and
+    falls back to the two-phase start when that bound is infinite."""
+
+    @pytest.mark.parametrize("case", ["free", "no_upper"])
+    def test_unboxed_column_takes_two_phase(self, case):
+        lp = unboxed_lp(case)
+        sol = solve_lp(lp)
+        assert sol.start == "two-phase"
+        status, ref = scipy_reference(lp)
+        assert sol.status == status == "optimal"
+        assert sol.objective == pytest.approx(ref, rel=1e-9)
+
+    def test_boxed_random_lps_take_slack(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            assert solve_lp(random_lp(rng)).start == "slack"
+
+    def test_infeasible_scheduling_lp_proved_by_dual(self):
+        qos = scheduling_lps(38)[1]
+        comp = dataclasses.replace(qos, b=qos.b.copy())
+        comp.b[qos.row_names.index("energy")] *= 0.1
+        assert highs_objective(comp)[0] == "infeasible"
+        sol = solve_lp(comp)
+        assert sol.status == "infeasible" and sol.start == "slack"
+        # the dual simplex ends on a basis a later solve may start from
+        assert sol.basis is not None and int((sol.basis == 2).sum()) == len(comp.row_names)
+
+    def test_in_place_reduced_costs_match_recomputed(self):
+        for comp in scheduling_lps(38):
+            A, b, c, lo, hi = equilibrated(comp)
+            core = _Simplex(A, b, comp.senses, c, lo, hi)
+            cost = np.concatenate([c, np.zeros(len(b))])
+            fixed = core.hi - core.lo <= 0.0
+            assert core._load_basis(core._slack_basis(), cost, fixed)
+            assert core._dual(cost, fixed, maxiter=10_000) == "optimal"
+            # pivots since the last refactorization updated d in place
+            assert core.n_eta > 0
+            d = cost - core._prices(core._btran(cost[core.basis]))
+            assert np.abs(core.d - d).max() <= 1e-9 * np.abs(cost).max()
+
+
 class TestPolish:
     """A warm solve refactors in _load_basis; the polish after the dual
     simplex refactors again only when the eta file fails its residual check."""
@@ -655,6 +718,8 @@ class TestPolish:
         start = solve_lp(qos)
         comp = dataclasses.replace(qos, b=qos.b.copy())
         comp.b[row] *= 0.7  # a budget of 0.56 eps*: 5 dual pivots
+        # the cold solve runs the dual simplex too, so it is made unrecorded
+        cold = solve_lp(comp)
         seen = []
         dual = _Simplex._dual
 
@@ -669,7 +734,7 @@ class TestPolish:
 
         monkeypatch.setattr(_Simplex, "_dual", recording)
         warm = solve_lp(comp, basis=start.basis)
-        cold = solve_lp(comp)
+        assert warm.start == "warm"
         assert warm.optimal and warm.objective == pytest.approx(cold.objective, rel=1e-9)
         # one load refactor, then a few dual pivots in the eta file
         assert len(seen) == 1 and seen[0][0] == 1 and 0 < seen[0][1] < 10
@@ -725,3 +790,27 @@ class TestScalingCache:
             comp = random_lp(rng).compile()
             x = rng.uniform(-1.0, 13.0, len(comp.var_names))
             assert max_violation(comp, x) == max_violation_loop(comp, x)
+
+
+class TestEquilibrate:
+    """_equilibrate reads only the nonzeros; the dense reference reads the
+    whole matrix. Both must give the same powers of two, bit for bit."""
+
+    @pytest.mark.parametrize("n", [10, 38])
+    def test_scheduling_lps_match_dense_reference(self, n):
+        for comp in scheduling_lps(n):
+            R, C = _equilibrate(comp.A)
+            R_ref, C_ref = equilibrate_dense(comp.A)
+            assert np.array_equal(R, R_ref) and np.array_equal(C, C_ref)
+
+    def test_random_sparse_matrices_match_dense_reference(self):
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            nr, nc = (int(k) for k in rng.integers(0, 40, 2))
+            density = rng.uniform(0.005, 0.5)
+            # magnitudes over many decades, both signs, empty rows and columns
+            values = rng.lognormal(0.0, 8.0, (nr, nc)) * rng.choice([-1.0, 1.0], (nr, nc))
+            A = np.where(rng.random((nr, nc)) < density, values, 0.0)
+            R, C = _equilibrate(A)
+            R_ref, C_ref = equilibrate_dense(A)
+            assert np.array_equal(R, R_ref) and np.array_equal(C, C_ref)
