@@ -26,9 +26,10 @@ from .imprecision import (
 )
 from .listsched import Assignment, format_assignment
 from .lp import write_lp_file
-from .schedlp import Schedule, build_baseline_lp, build_min_energy_lp, build_qos_lp
+from .schedlp import Schedule, build_min_energy_lp
 from .sweep import (
     InfeasibleError,
+    MethodModel,
     PipelineError,
     PlatformConfig,
     SweepConfig,
@@ -442,11 +443,11 @@ def _run_single(args, method: str) -> int:
     g = _read_graph(args.graph)
     platform = _platform_from(args)
     eps_max = _eps_from_args(g, platform, args)
-    gn = normalize_source(g)
+    model = MethodModel()
     if method == "proposed":
-        out = run_proposed(g, platform, eps_max)
+        out = run_proposed(g, platform, eps_max, model)
     elif method == "baseline":
-        out = run_baseline(g, platform, eps_max)
+        out = run_baseline(g, platform, eps_max, model)
     else:
         # the sweep's time-limit default and check, without its config file
         time_limit = load_sweep_config(None, args).milp_time_limit
@@ -459,6 +460,7 @@ def _run_single(args, method: str) -> int:
         f"makespan_s {_fmt(out.makespan)}"
         + (f" nodes {out.nodes} gap {out.gap:.3g}" if method == "milp" else "")
     )
+    gn = normalize_source(g) if model.gn is None else model.gn
     if args.out:
         _write_out(
             args.out,
@@ -469,30 +471,21 @@ def _run_single(args, method: str) -> int:
                 out.assignment,
                 eps_max,
                 platform.procs,
-                labeling=out.labeling if method == "proposed" else None,
+                labeling=out.labeling,
             ),
         )
     if getattr(args, "export_lp", None):
-        lab, wl = imp_label(gn)
-        if method == "proposed":
-            lp = build_qos_lp(
-                gn, wl, out.assignment, platform.power, platform.freqs, eps_max, gn.deadline
-            )
-        elif method == "baseline":
-            lp = build_baseline_lp(
-                gn, out.assignment, platform.power, platform.freqs, eps_max, gn.deadline
-            )
-        else:
-            from .milp import build_milp
-
-            model = build_milp(
-                gn, platform.procs, platform.freqs, platform.power, eps_max, gn.deadline
-            )
-            with open(args.export_lp, "w") as fh:
-                write_lp_file(model.lp, fh, binaries=model.binaries)
-            return EXIT_OK
         with open(args.export_lp, "w") as fh:
-            write_lp_file(lp, fh)
+            if method == "milp":
+                from .milp import build_milp
+
+                milp = build_milp(
+                    gn, platform.procs, platform.freqs, platform.power, eps_max, gn.deadline
+                )
+                write_lp_file(milp.lp, fh, binaries=milp.binaries)
+            else:
+                # the program the run solved
+                write_lp_file(model.program(eps_max), fh)
     return EXIT_OK
 
 

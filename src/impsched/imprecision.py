@@ -247,25 +247,15 @@ def backward_pass(g: TaskGraph, lab: Labeling) -> Labeling:
     parents by how many of their children are still intact and evaluates only
     the prefix subsets of that list, applying the prefix with the largest
     objective reduction (smallest prefix on ties, no flip if none reduces).
+    A prefix's reduction is its parents' optional cycles less the extensions
+    of the children it newly extends, summed one parent at a time.
     """
     check_labeling(g, lab)
     _check_single_source(g)
     order = topological_order(g)
-    exits = set(g.exits())
 
     precise = dict(lab.precise)
     extended = dict(lab.extended)
-
-    def objective(precise_map, extended_map) -> int:
-        total = 0
-        for u in g.tasks:
-            t = g.task(u)
-            m_eff = t.mandatory + (t.extension if extended_map[u] else 0)
-            if u in exits:
-                total += m_eff
-            else:
-                total += m_eff + (t.optional if precise_map[u] else 0)
-        return total
 
     for t_id in reversed(order):
         if len(g.parents(t_id)) < 2:
@@ -283,16 +273,16 @@ def backward_pass(g: TaskGraph, lab: Labeling) -> Labeling:
                 p,
             )
         )
-        base = objective(precise, extended)
+        delta = 0
         best_delta = 0
         best_k = 0
-        trial_p = dict(precise)
-        trial_e = dict(extended)
+        newly_extended = set()
         for k, p in enumerate(candidates, 1):
-            trial_p[p] = False
+            delta -= g.task(p).optional
             for c in g.children(p):
-                trial_e[c] = True
-            delta = objective(trial_p, trial_e) - base
+                if not extended[c] and c not in newly_extended:
+                    newly_extended.add(c)
+                    delta += g.task(c).extension
             if delta < best_delta:
                 best_delta = delta
                 best_k = k

@@ -3,10 +3,14 @@
 The solver is a dense revised simplex with power-of-two equilibration, so
 cycle counts (~1e6) and seconds (~1e-3) coexist in one tableau; a CompiledLP
 keeps its equilibration, so repeated solves of one program (branch-and-bound
-nodes) scale it once. The basis inverse is kept in product form: a dense
-inverse of the basis at the last refactorization times an eta file of rank-1
-pivot updates, so a pivot costs O(m*k) for k updates instead of rewriting an
-m x m matrix. Slack and artificial columns are signed unit columns and are
+nodes) scale it once. LinearProgram.with_rhs makes a copy of a program with
+one right-hand side changed (an energy sweep's budget); while the caller
+keeps the original's CompiledLP, the copy compiles to one that shares its
+matrices and scaling, and afterwards it compiles from its own rows.
+
+The basis inverse is kept in product form: a dense inverse of the basis at
+the last refactorization times an eta file of rank-1 pivot updates, so a
+pivot costs O(m*k) for k updates instead of rewriting an m x m matrix. Slack and artificial columns are signed unit columns and are
 never built: pricing, column reads and row activities treat them as (row,
 sign) pairs, and a refactorization inverts only the structural kernel of the
 basis, the rows its unit columns leave uncovered. A solve ends on the eta
@@ -37,7 +41,9 @@ Dual conventions (reduced cost rc = c - A^T y):
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +82,9 @@ class LinearProgram:
         self.maximize = False
         self._obj: dict[str, float] = {}
         self.objective_constant = 0.0
+        # with_rhs copies: (weak reference to the original's CompiledLP, the
+        # changed row's index); any later change to the copy drops it
+        self._shares: tuple[weakref.ref, int] | None = None
 
     @property
     def n_vars(self) -> int:
@@ -98,6 +107,7 @@ class LinearProgram:
             raise ValueError(f"duplicate variable {name!r}")
         if not lo <= hi:
             raise ValueError(f"variable {name!r}: lower bound exceeds upper bound")
+        self._shares = None
         self._var_index[name] = len(self._var_names)
         self._var_names.append(name)
         self._lo.append(float(lo))
@@ -114,6 +124,7 @@ class LinearProgram:
                 raise ValueError(f"row {name!r} references unknown variable {v!r}")
         if not math.isfinite(rhs):
             raise ValueError(f"row {name!r}: non-finite right-hand side")
+        self._shares = None
         self._row_index[name] = len(self._row_names)
         self._row_names.append(name)
         self._rows.append((dict(coeffs), sense, float(rhs)))
@@ -125,11 +136,44 @@ class LinearProgram:
         for v in coeffs:
             if v not in self._var_index:
                 raise ValueError(f"objective references unknown variable {v!r}")
+        self._shares = None
         self.maximize = sense == "max"
         self._obj = dict(coeffs)
         self.objective_constant = float(constant)
 
+    def with_rhs(self, row: str, rhs: float, compiled: "CompiledLP | None"):
+        """A copy of this program with the right-hand side of one row replaced.
+
+        The copy shares this program's row coefficient dicts. compiled, unless
+        None, is this program's compile(): while something else keeps it
+        alive, the copy's compile() shares its arrays and scaling and carries
+        only its own b; once it is gone, the copy compiles from its own rows.
+        """
+        i = self._row_index[row]
+        if not math.isfinite(rhs):
+            raise ValueError(f"row {row!r}: non-finite right-hand side")
+        lp = LinearProgram()
+        lp._var_names, lp._var_index = list(self._var_names), dict(self._var_index)
+        lp._lo, lp._hi = list(self._lo), list(self._hi)
+        lp._row_names, lp._row_index = list(self._row_names), dict(self._row_index)
+        lp._rows = list(self._rows)
+        coeffs, sense, _ = lp._rows[i]
+        lp._rows[i] = (coeffs, sense, float(rhs))
+        lp.maximize, lp._obj = self.maximize, dict(self._obj)
+        lp.objective_constant = self.objective_constant
+        if compiled is not None:
+            lp._shares = weakref.ref(compiled), i
+        return lp
+
     def compile(self) -> "CompiledLP":
+        base = self._shares[0]() if self._shares is not None else None
+        if base is not None:
+            i = self._shares[1]
+            b = base.b.copy()
+            b[i] = self._rows[i][2]
+            comp = dataclasses.replace(base, b=b)
+            comp._scaled = _scaling(base)
+            return comp
         nv, nr = self.n_vars, self.n_rows
         A = np.zeros((nr, nv))
         b = np.zeros(nr)
@@ -231,19 +275,18 @@ def _pow2_scale(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _equilibrate(shape, rows, cols, M) -> tuple[np.ndarray, np.ndarray]:
     """Geometric-mean row/column scaling (powers of two, hence exact).
 
     Balances rows and columns whose nonzeros span many orders of magnitude,
     e.g. cycle counts next to per-cycle energies; max-norm scaling alone
     cannot fix a column whose largest coefficient is already O(1). Works on
-    the nonzeros only: the scheduling programs are about 1% dense.
+    the nonzeros only, at (rows, cols) of a matrix of this shape with
+    magnitudes M: the scheduling programs are about 1% dense.
     """
-    nr, nc = A.shape
+    nr, nc = shape
     R = np.ones(nr)
     C = np.ones(nc)
-    rows, cols = np.nonzero(A)
-    M = np.abs(A[rows, cols])
 
     def extremes(index, n):
         S = M * R[rows] * C[cols]
@@ -268,12 +311,19 @@ def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _scaling(comp: CompiledLP):
     """(R, C, the scaled A, the row scales of max_violation): everything the
     solver derives from A alone, computed once per CompiledLP, so that the
-    nodes of a branch-and-bound share it."""
+    nodes of a branch-and-bound share it. All four come from the nonzeros."""
     if comp._scaled is None:
-        R, C = _equilibrate(comp.A)
-        As = comp.A * R[:, None] * C[None, :]
+        A = comp.A
+        rows, cols = np.nonzero(A)
+        vals = A[rows, cols]
+        M = np.abs(vals)
+        R, C = _equilibrate(A.shape, rows, cols, M)
+        As = np.zeros(A.shape)
+        As[rows, cols] = vals * R[rows] * C[cols]
         As.flags.writeable = False
-        comp._scaled = R, C, As, np.maximum(1.0, np.abs(comp.A).max(axis=1, initial=0.0))
+        row_max = np.zeros(A.shape[0])
+        np.maximum.at(row_max, rows, M)
+        comp._scaled = R, C, As, np.maximum(1.0, row_max)
     return comp._scaled
 
 

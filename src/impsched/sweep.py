@@ -3,9 +3,15 @@
 Budgets are expressed as ratios of the graph's minimum precise-execution
 energy; a sweep walks the ratio down from 1.0 until a method turns
 infeasible, then probes a couple more points to document the cliff. Every
-feasible schedule is re-verified before a row is emitted. Between two ratios
-of one method only the energy budget changes, so each row's LP starts from
-the previous row's final basis (see lp.solve_lp).
+feasible schedule is re-verified before a row is emitted.
+
+Between two ratios of one LP method only the energy budget changes. So a walk
+hands every row one MethodModel: the first row builds it (normalized graph,
+labeling, assignment, LP, verify contract), and each row re-solves its LP
+with only the `energy` right-hand side changed (LinearProgram.with_rhs),
+sharing the compiled matrices and scaling, from the previous row's final
+basis (see lp.solve_lp). The walk drops the compiled arrays when it ends, so
+nothing a row returns or was given holds a dense matrix afterwards.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ import time
 from dataclasses import dataclass
 
 from .energy import FrequencySet, PowerModel, DEFAULT_FREQUENCY_SET, DEFAULT_POWER_MODEL
-from .imprecision import imp_label, scheduling_workloads
+from .imprecision import Labeling, imp_label, scheduling_workloads
 from .listsched import Assignment, heft_assign
-from .lp import solve_lp
+from .lp import CompiledLP, LinearProgram, solve_lp
 from .milp import build_milp, encode_solution, solve_branch_and_bound
 from .schedlp import (
     Schedule,
@@ -32,6 +38,7 @@ __all__ = [
     "PlatformConfig",
     "SweepConfig",
     "MethodOutcome",
+    "MethodModel",
     "SweepRow",
     "PipelineError",
     "InfeasibleError",
@@ -101,7 +108,28 @@ class MethodOutcome:
     gap: float | None = None
     nodes: int | None = None
     status: str = ""
-    basis: object = None  # the LP's final basis (LPSolution.basis)
+
+
+@dataclass
+class MethodModel:
+    """One LP method's program on one graph and platform, and what a row
+    needs to decode and verify its solution. Empty until a runner's first
+    call fills it; every later call re-solves the same program at its own
+    budget. compiled (the program's compile()) and basis are the walk's:
+    while compiled is set, every budget's program shares its arrays."""
+
+    gn: TaskGraph | None = None
+    asg: Assignment | None = None
+    labeling: Labeling | None = None
+    lp: LinearProgram | None = None
+    contract: WorkloadContract | None = None
+    fixed_opt: dict[str, float] | None = None
+    compiled: CompiledLP | None = None
+    basis: object = None  # the last solve's final basis (LPSolution.basis)
+
+    def program(self, eps_max: float) -> LinearProgram:
+        """The method's LP under the energy budget eps_max."""
+        return self.lp.with_rhs("energy", eps_max, self.compiled)
 
 
 @dataclass(frozen=True)
@@ -177,92 +205,77 @@ def epsilon_star(
     return sol.objective, sched, asg
 
 
+def _solve_row(method: str, model: MethodModel, platform, eps_max, t0) -> MethodOutcome:
+    sol = solve_lp(model.program(eps_max), basis=model.basis)
+    if sol.basis is not None:
+        model.basis = sol.basis
+    runtime = time.monotonic() - t0
+    if sol.status == "infeasible":
+        return MethodOutcome(method, False, runtime=runtime, status="infeasible")
+    if not sol.optimal:
+        raise PipelineError(f"{method} LP ended {sol.status}: {sol.message}")
+    gn = model.gn
+    sched = decode_schedule(gn, platform.power, platform.freqs, sol, fixed_opt=model.fixed_opt)
+    _checked(gn, sched, model.asg, platform, eps_max, model.contract, method)
+    return MethodOutcome(
+        method,
+        True,
+        qos=sched.qos,
+        energy=sched.energy,
+        makespan=sched.makespan,
+        runtime=runtime,
+        schedule=sched,
+        assignment=model.asg,
+        labeling=model.labeling,
+        status="optimal",
+    )
+
+
+def _fill(model, gn, asg, lp, contract, fixed_opt, labeling=None) -> None:
+    model.gn, model.asg, model.lp, model.labeling = gn, asg, lp, labeling
+    model.contract, model.fixed_opt = contract, fixed_opt
+    model.compiled = lp.compile()
+
+
 def run_proposed(
-    g: TaskGraph, platform: PlatformConfig, eps_max: float, basis=None
+    g: TaskGraph, platform: PlatformConfig, eps_max: float, model: MethodModel | None = None
 ) -> MethodOutcome:
     """Labeling, list scheduling, then the QoS-maximizing LP.
 
-    basis is the MethodOutcome.basis of an earlier run on the same graph and
-    platform; the LP then starts from it (only the budget may differ).
+    model is a walk's MethodModel, empty on its first call: that call builds
+    it, later calls re-solve it at their own budget from its last basis.
+    Without one, the call builds a model of its own and keeps nothing of it.
     """
     t0 = time.monotonic()
-    gn = normalize_source(g)
-    lab, wl = imp_label(gn)
-    workloads = {u: float(w) for u, w in scheduling_workloads(gn, wl).items()}
-    asg = _assign(gn, workloads, platform)
-    sol = solve_lp(
-        build_qos_lp(gn, wl, asg, platform.power, platform.freqs, eps_max, gn.deadline),
-        basis=basis,
-    )
-    runtime = time.monotonic() - t0
-    if sol.status == "infeasible":
-        return MethodOutcome(
-            "proposed", False, runtime=runtime, status="infeasible", basis=sol.basis
-        )
-    if not sol.optimal:
-        raise PipelineError(f"proposed LP ended {sol.status}: {sol.message}")
-    sched = decode_schedule(
-        gn, platform.power, platform.freqs, sol, fixed_opt=wl.optional_fixed
-    )
-    _checked(
-        gn, sched, asg, platform, eps_max, WorkloadContract.from_labeling(gn, wl), "proposed"
-    )
-    out = MethodOutcome(
-        "proposed",
-        True,
-        qos=sched.qos,
-        energy=sched.energy,
-        makespan=sched.makespan,
-        runtime=runtime,
-        schedule=sched,
-        assignment=asg,
-        status="optimal",
-        basis=sol.basis,
-    )
-    out.labeling = lab
-    return out
+    model = MethodModel() if model is None else model
+    if model.lp is None:
+        gn = normalize_source(g)
+        lab, wl = imp_label(gn)
+        workloads = {u: float(w) for u, w in scheduling_workloads(gn, wl).items()}
+        asg = _assign(gn, workloads, platform)
+        lp = build_qos_lp(gn, wl, asg, platform.power, platform.freqs, eps_max, gn.deadline)
+        contract = WorkloadContract.from_labeling(gn, wl)
+        _fill(model, gn, asg, lp, contract, wl.optional_fixed, lab)
+    return _solve_row("proposed", model, platform, eps_max, t0)
 
 
 def run_baseline(
-    g: TaskGraph, platform: PlatformConfig, eps_max: float, basis=None
+    g: TaskGraph, platform: PlatformConfig, eps_max: float, model: MethodModel | None = None
 ) -> MethodOutcome:
     """QoS LP on the unlabeled graph: non-exit tasks keep initial workloads.
 
-    basis is used as in run_proposed.
+    model is used as in run_proposed.
     """
     t0 = time.monotonic()
-    gn = normalize_source(g)
-    asg = _assign(gn, _initial_workloads(gn), platform)
-    sol = solve_lp(
-        build_baseline_lp(gn, asg, platform.power, platform.freqs, eps_max, gn.deadline),
-        basis=basis,
-    )
-    runtime = time.monotonic() - t0
-    if sol.status == "infeasible":
-        return MethodOutcome(
-            "baseline", False, runtime=runtime, status="infeasible", basis=sol.basis
-        )
-    if not sol.optimal:
-        raise PipelineError(f"baseline LP ended {sol.status}: {sol.message}")
-    fixed = {
-        u: float(gn.task(u).optional) for u in gn.tasks if u not in set(gn.exits())
-    }
-    sched = decode_schedule(gn, platform.power, platform.freqs, sol, fixed_opt=fixed)
-    _checked(
-        gn, sched, asg, platform, eps_max, WorkloadContract.baseline(gn), "baseline"
-    )
-    return MethodOutcome(
-        "baseline",
-        True,
-        qos=sched.qos,
-        energy=sched.energy,
-        makespan=sched.makespan,
-        runtime=runtime,
-        schedule=sched,
-        assignment=asg,
-        status="optimal",
-        basis=sol.basis,
-    )
+    model = MethodModel() if model is None else model
+    if model.lp is None:
+        gn = normalize_source(g)
+        asg = _assign(gn, _initial_workloads(gn), platform)
+        lp = build_baseline_lp(gn, asg, platform.power, platform.freqs, eps_max, gn.deadline)
+        exits = set(gn.exits())
+        fixed = {u: float(gn.task(u).optional) for u in gn.tasks if u not in exits}
+        _fill(model, gn, asg, lp, WorkloadContract.baseline(gn), fixed)
+    return _solve_row("baseline", model, platform, eps_max, t0)
 
 
 def run_milp(
@@ -336,8 +349,8 @@ def sweep_graph(
 ) -> list[SweepRow]:
     """Run every configured method down its own feasibility cliff.
 
-    The LP methods pass each row's final basis on to the next ratio, past
-    the cliff too; branch-and-bound starts every ratio cold.
+    Each LP method's rows share one MethodModel, past the cliff too (see the
+    module docstring); branch-and-bound starts every ratio cold.
     """
     if eps_star_value is None:
         eps_star_value, _, _ = epsilon_star(g, platform)
@@ -345,7 +358,7 @@ def sweep_graph(
     runners = {
         "proposed": run_proposed,
         "baseline": run_baseline,
-        "milp": lambda g, platform, eps_max, basis: run_milp(
+        "milp": lambda g, platform, eps_max, model: run_milp(
             g,
             platform,
             eps_max,
@@ -355,30 +368,22 @@ def sweep_graph(
     }
     rows: list[SweepRow] = []
     for method in cfg.methods:
-        basis = None
+        model = MethodModel()
         beyond = None  # points probed past the first infeasible ratio
-        for ratio in sweep_ratios(cfg.resolution):
-            out = runners[method](g, platform, ratio * eps_star_value, basis)
-            if out.basis is not None:
-                basis = out.basis
-            rows.append(
-                SweepRow(
-                    graph_id,
-                    method,
-                    ratio,
-                    out.feasible,
-                    out.qos,
-                    out.energy,
-                    out.makespan,
-                    out.runtime,
-                    out.gap,
-                    out.nodes,
+        try:
+            for ratio in sweep_ratios(cfg.resolution):
+                out = runners[method](g, platform, ratio * eps_star_value, model)
+                rows.append(
+                    SweepRow(graph_id, method, ratio, out.feasible, out.qos, out.energy,
+                             out.makespan, out.runtime, out.gap, out.nodes)
                 )
-            )
-            if not out.feasible:
-                beyond = 0 if beyond is None else beyond + 1
-                if beyond >= cfg.past_infeasible:
-                    break
+                if not out.feasible:
+                    beyond = 0 if beyond is None else beyond + 1
+                    if beyond >= cfg.past_infeasible:
+                        break
+        finally:
+            # the rows' programs compile from their own rows from here on
+            model.compiled = None
     rows.sort(key=lambda r: (r.graph_id, r.method, -r.eps_ratio))
     return rows
 

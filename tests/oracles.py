@@ -54,6 +54,39 @@ def brute_force_labeling_min(g: TaskGraph) -> int:
     return best
 
 
+def backward_pass_full(g: TaskGraph, precise: dict[str, bool]) -> dict[str, bool]:
+    """The backward pass's precise labels, each candidate prefix scored by
+    recomputing the whole objective (labeling_objective)."""
+    precise = dict(precise)
+    for t_id in reversed(topological_order(g)):
+        if len(g.parents(t_id)) < 2:
+            continue
+        candidates = [
+            p
+            for p in g.parents(t_id)
+            if precise.get(p, False) and g.task(p).optional > NO_OPTIONAL
+        ]
+        if not candidates:
+            continue
+        extended = {
+            u: any(not precise.get(p, True) for p in g.parents(u)) for u in g.tasks
+        }
+        candidates.sort(
+            key=lambda p: (sum(1 for c in g.children(p) if not extended[c]), p)
+        )
+        base = labeling_objective(g, precise)
+        trial = dict(precise)
+        best_delta, best_k = 0, 0
+        for k, p in enumerate(candidates, 1):
+            trial[p] = False
+            delta = labeling_objective(g, trial) - base
+            if delta < best_delta:
+                best_delta, best_k = delta, k
+        for p in candidates[:best_k]:
+            precise[p] = False
+    return precise
+
+
 # --- LP optimality certificate -------------------------------------------------
 
 def dual_certificate_ok(lp, sol, tol: float = 1e-6) -> tuple[bool, str]:
@@ -369,3 +402,12 @@ def equilibrate_dense(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     S = M * R[:, None] * C[None, :]
     R *= _pow2_reciprocal(S.max(axis=1, initial=0.0))
     return R, C
+
+
+def scaling_dense(A: np.ndarray):
+    """(R, C, the scaled A, the row scales of max_violation) from dense
+    products over the whole matrix. Reference for the nonzeros-only
+    impsched.lp._scaling, which must agree bit for bit."""
+    R, C = equilibrate_dense(A)
+    As = A * R[:, None] * C[None, :]
+    return R, C, As, np.maximum(1.0, np.abs(A).max(axis=1, initial=0.0))

@@ -1,8 +1,11 @@
+import io
 import shlex
 
 import pytest
 
+from impsched import sweep
 from impsched.cli import main, parse_schedule
+from impsched.lp import solve_lp, write_lp_file
 from impsched.taskgraph import parse_task_graph, validate_graph
 
 
@@ -160,6 +163,25 @@ class TestScheduleVerify:
         rc = run(f"milp {gf} --eps-ratio 0.9 --procs 2 --time-limit 20 --out {sched_file}")
         assert rc == 0
         assert run(f"verify {gf} {sched_file}") == 0
+
+
+class TestExportLp:
+    @pytest.mark.parametrize("cmd", ["schedule", "baseline"])
+    def test_exports_the_program_the_run_solved(self, cmd, graph_file, tmp_path, monkeypatch):
+        solved = []
+
+        def capture(problem, *args, **kwargs):
+            solved.append(problem)
+            return solve_lp(problem, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "solve_lp", capture)
+        path = tmp_path / "run.lp"
+        assert run(f"{cmd} {graph_file} --eps-ratio 0.8 --export-lp {path}") == 0
+        # eps* is solved first, the run's own program last
+        assert len(solved) == 2
+        want = io.StringIO()
+        write_lp_file(solved[-1], want)
+        assert path.read_text() == want.getvalue()
 
 
 class TestSweepCommand:

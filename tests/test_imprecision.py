@@ -20,11 +20,12 @@ from impsched.imprecision import (
     scheduling_workloads,
 )
 from impsched.taskgraph import (
+    MANDATORY_REGIMES,
     GeneratorParams,
     generate_random_graph,
     normalize_source,
 )
-from oracles import brute_force_labeling_min, labeling_objective
+from oracles import backward_pass_full, brute_force_labeling_min, labeling_objective
 
 
 class TestErrorAlgebra:
@@ -208,6 +209,28 @@ class TestBackwardPass:
             lab = forward_pass(g)
             lab2 = backward_pass(g, lab)
             assert reduction_objective(g, lab2) <= reduction_objective(g, lab)
+
+    @pytest.mark.parametrize("regime", MANDATORY_REGIMES)
+    def test_incremental_objective_matches_full_recompute(self, regime):
+        rng = random.Random(11)
+        flipped = 0
+        for _ in range(12):
+            g = normalize_source(
+                generate_random_graph(
+                    GeneratorParams(
+                        n_tasks=rng.randint(2, 60),
+                        mandatory_regime=regime,
+                        seed=rng.randint(0, 9999),
+                    )
+                )
+            )
+            lab = forward_pass(g)
+            got = backward_pass(g, lab)
+            want = backward_pass_full(g, lab.precise)
+            assert got.precise == want
+            flipped += sum(lab.precise[u] and not want[u] for u in want)
+        # the backward pass has something to decide on these graphs
+        assert flipped > 0
 
 
 class TestImpLabel:

@@ -12,8 +12,9 @@ from impsched.lp import (
     GE,
     INF,
     LE,
+    CompiledLP,
     LinearProgram,
-    _equilibrate,
+    _scaling,
     _NumericalTrouble,
     _Simplex,
     max_violation,
@@ -21,7 +22,7 @@ from impsched.lp import (
     write_lp_file,
 )
 from impsched.taskgraph import GeneratorParams, generate_random_graph
-from oracles import dual_certificate_ok, equilibrate_dense
+from oracles import dual_certificate_ok, scaling_dense
 
 
 def random_lp(rng, feasible=True):
@@ -286,11 +287,12 @@ class TestExport:
 def scheduling_lps(n):
     """The min-energy, QoS and baseline LPs the pipeline solves for one
     man_low graph (seed 7), compiled; the QoS LP at 0.8 eps* and the
-    baseline LP at 0.9 eps*, budgets that bind at n = 10, 38 and 80."""
+    baseline LP at 0.9 eps*, budgets that bind at n = 10, 38 and 80.
+    Compiled after the runs, so each is a fresh CompiledLP of its own."""
     captured = []
 
     def capture(problem, *args, **kwargs):
-        captured.append(problem.compile())
+        captured.append(problem)
         return solve_lp(problem, *args, **kwargs)
 
     g = generate_random_graph(GeneratorParams(n_tasks=n, mandatory_regime="man_low", seed=7))
@@ -300,13 +302,13 @@ def scheduling_lps(n):
         star, _, _ = sweep.epsilon_star(g, platform)
         assert sweep.run_proposed(g, platform, 0.8 * star).feasible
         assert sweep.run_baseline(g, platform, 0.9 * star).feasible
-    return captured
+    return [lp.compile() for lp in captured]
 
 
 def equilibrated(comp):
     """(A, b, c, lo, hi) as solve_lp hands them to the core: power-of-two
     scaled, objective in min sense."""
-    R, C = _equilibrate(comp.A)
+    R, C = _scaling(comp)[:2]
     c = (-comp.c if comp.maximize else comp.c) * C
     return comp.A * R[:, None] * C[None, :], comp.b * R, c, comp.lo / C, comp.hi / C
 
@@ -518,10 +520,12 @@ class TestWarmStart:
             captured.append(problem.compile())
             return solve_lp(problem, *args, **kwargs)
 
-        prev = sweep.run_proposed(g, platform, 0.75 * star)
+        model = sweep.MethodModel()
+        assert sweep.run_proposed(g, platform, 0.75 * star, model).feasible
+        assert model.basis is not None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sweep, "solve_lp", capture)
-            warm = sweep.run_proposed(g, platform, 0.7 * star, basis=prev.basis)
+            warm = sweep.run_proposed(g, platform, 0.7 * star, model)
         cold = sweep.run_proposed(g, platform, 0.7 * star)
         assert warm.feasible and cold.feasible
         assert warm.qos == pytest.approx(cold.qos, rel=1e-9)
@@ -777,6 +781,25 @@ class TestScalingCache:
         # a program with another right-hand side starts with an empty cache
         assert dataclasses.replace(comp, b=comp.b * 0.9)._scaled is None
 
+    def test_copy_with_one_rhs_shares_the_compiled_arrays(self):
+        lp = random_lp(np.random.default_rng(5))
+        comp = lp.compile()
+        copy = lp.with_rhs("r0", 7.0, comp)
+        shared = copy.compile()
+        assert shared.A is comp.A and shared._scaled is _scaling(comp)
+        assert shared.b[0] == 7.0 and np.array_equal(shared.b[1:], comp.b[1:])
+        # the original keeps its right-hand side and its variables; a copy
+        # changed further compiles from its own rows
+        copy.add_var("extra")
+        assert lp.compile().b[0] == comp.b[0] and "extra" not in lp.var_names
+        assert copy.compile().A.shape == (comp.A.shape[0], comp.A.shape[1] + 1)
+        with pytest.raises(ValueError):
+            lp.with_rhs("r0", INF, comp)
+        # without the original's CompiledLP the copy compiles from its rows
+        del comp, shared
+        own = lp.with_rhs("r0", 7.0, lp.compile()).compile()
+        assert own._scaled is None and own.b[0] == 7.0
+
     def test_compiled_matrix_is_read_only(self):
         # the cache derives from A, so A cannot change under it
         comp = scheduling_lps(10)[1]
@@ -793,15 +816,19 @@ class TestScalingCache:
 
 
 class TestEquilibrate:
-    """_equilibrate reads only the nonzeros; the dense reference reads the
-    whole matrix. Both must give the same powers of two, bit for bit."""
+    """_scaling reads only the nonzeros; the dense reference reads the whole
+    matrix. Both must give the same scales, scaled matrix and row scales,
+    bit for bit."""
+
+    @staticmethod
+    def assert_matches_dense(comp):
+        got, want = _scaling(comp), scaling_dense(comp.A)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("n", [10, 38])
     def test_scheduling_lps_match_dense_reference(self, n):
         for comp in scheduling_lps(n):
-            R, C = _equilibrate(comp.A)
-            R_ref, C_ref = equilibrate_dense(comp.A)
-            assert np.array_equal(R, R_ref) and np.array_equal(C, C_ref)
+            self.assert_matches_dense(comp)
 
     def test_random_sparse_matrices_match_dense_reference(self):
         rng = np.random.default_rng(18)
@@ -811,6 +838,10 @@ class TestEquilibrate:
             # magnitudes over many decades, both signs, empty rows and columns
             values = rng.lognormal(0.0, 8.0, (nr, nc)) * rng.choice([-1.0, 1.0], (nr, nc))
             A = np.where(rng.random((nr, nc)) < density, values, 0.0)
-            R, C = _equilibrate(A)
-            R_ref, C_ref = equilibrate_dense(A)
-            assert np.array_equal(R, R_ref) and np.array_equal(C, C_ref)
+            self.assert_matches_dense(
+                CompiledLP(
+                    var_names=(), var_index={}, row_names=(), A=A, b=np.zeros(nr),
+                    senses=(), c=np.zeros(nc), lo=np.zeros(nc), hi=np.zeros(nc),
+                    maximize=False, constant=0.0,
+                )
+            )

@@ -1,9 +1,17 @@
+import dataclasses
+import gc
+import types
+
+import numpy as np
 import pytest
 
 from impsched import sweep
-from impsched.lp import solve_lp
+from impsched.imprecision import imp_label, scheduling_workloads
+from impsched.lp import CompiledLP, LinearProgram, solve_lp
+from impsched.schedlp import build_baseline_lp, build_qos_lp
 from impsched.sweep import (
     CSV_HEADER,
+    MethodModel,
     SweepConfig,
     epsilon_star,
     default_platform,
@@ -14,7 +22,7 @@ from impsched.sweep import (
     sweep_ratios,
     InfeasibleError,
 )
-from impsched.taskgraph import GeneratorParams, generate_random_graph
+from impsched.taskgraph import GeneratorParams, generate_random_graph, normalize_source
 from test_lp import highs_objective
 
 
@@ -209,3 +217,130 @@ class TestWarmSweep:
         # points past each cliff were proved infeasible by the dual simplex
         proved = [sol for comp, warm, sol in solves if warm and sol.status == "infeasible"]
         assert len(proved) >= 4 and all(sol.basis is not None for sol in proved)
+
+
+def fresh_program(method, g, platform, eps_max) -> CompiledLP:
+    """The method's LP built from scratch at eps_max, compiled."""
+    gn = normalize_source(g)
+    pm, fs = platform.power, platform.freqs
+    if method == "proposed":
+        _, wl = imp_label(gn)
+        workloads = {u: float(w) for u, w in scheduling_workloads(gn, wl).items()}
+        asg = sweep._assign(gn, workloads, platform)
+        lp = build_qos_lp(gn, wl, asg, pm, fs, eps_max, gn.deadline)
+    else:
+        asg = sweep._assign(gn, sweep._initial_workloads(gn), platform)
+        lp = build_baseline_lp(gn, asg, pm, fs, eps_max, gn.deadline)
+    return lp.compile()
+
+
+def same_program(a: CompiledLP, b: CompiledLP) -> bool:
+    return (
+        a.var_names == b.var_names
+        and a.row_names == b.row_names
+        and a.senses == b.senses
+        and a.maximize == b.maximize
+        and a.constant == b.constant
+        and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in "A b c lo hi".split())
+    )
+
+
+def reachable(obj) -> list:
+    """Every object obj references, directly or not, short of classes,
+    modules and functions."""
+    seen, stack, out = set(), [obj], []
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(o))
+        out.append(o)
+        stack.extend(gc.get_referents(o))
+    return out
+
+
+class TestModelReuse:
+    """A walk builds each method's program once and re-solves it with only the
+    energy budget changed."""
+
+    @pytest.fixture(scope="class")
+    def walk(self):
+        platform = default_platform()
+        g = generate_random_graph(
+            GeneratorParams(n_tasks=30, mandatory_regime="man_mixed", seed=5)
+        )
+        star, _, _ = epsilon_star(g, platform)
+        cfg = SweepConfig()
+        solved = []
+
+        def capture(problem, *args, **kwargs):
+            # the program, as the solver sees it, and a weak reference to the
+            # compiled template it shares
+            ref = problem._shares[0]
+            during = problem.compile()
+            assert ref() is not None and during.A is ref().A
+            solved.append((problem, during, ref))
+            return solve_lp(problem, *args, **kwargs)
+
+        def keeping(runner):
+            # keeps every call's arguments and result, as a tracer would
+            def run(*args):
+                kept.append((args, runner(*args)))
+                return kept[-1][1]
+            return run
+
+        kept = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep, "solve_lp", capture)
+            mp.setattr(sweep, "run_proposed", keeping(run_proposed))
+            mp.setattr(sweep, "run_baseline", keeping(run_baseline))
+            rows = sweep_graph("g", g, platform, cfg, eps_star_value=star)
+        assert len(kept) == len(rows)
+        rows.sort(key=lambda r: (cfg.methods.index(r.method), -r.eps_ratio))
+        return types.SimpleNamespace(
+            g=g, platform=platform, star=star, rows=rows, solved=solved, kept=kept
+        )
+
+    def test_each_row_compiles_to_a_fresh_build(self, walk):
+        g, platform, star, rows, solved = walk.g, walk.platform, walk.star, walk.rows, walk.solved
+        assert len(solved) == len(rows)
+        for row, (lp, during, _) in zip(rows, solved):
+            fresh = fresh_program(row.method, g, platform, row.eps_ratio * star)
+            assert same_program(during, fresh)
+            # after the walk, the row compiles from its own rows
+            late = lp.compile()
+            assert late.A is not during.A and late._scaled is None
+            assert same_program(late, fresh)
+
+    def test_rows_equal_a_walk_built_cold_at_every_row(self, walk):
+        g, platform, star, rows = walk.g, walk.platform, walk.star, walk.rows
+        runners = {"proposed": run_proposed, "baseline": run_baseline}
+        basis = {}
+        for row in rows:
+            # a model built anew for the row, from the previous row's basis
+            model = MethodModel(basis=basis.get(row.method))
+            out = runners[row.method](g, platform, row.eps_ratio * star, model)
+            basis[row.method] = model.basis
+            cold = sweep.SweepRow(
+                "g", row.method, row.eps_ratio, out.feasible, out.qos, out.energy,
+                out.makespan, 0.0, out.gap, out.nodes,
+            )
+            assert dataclasses.replace(row, runtime=0.0) == cold
+
+    def test_compiled_template_dies_with_the_walk(self, walk):
+        assert walk.kept
+        refs = {id(ref): ref for _, _, ref in walk.solved}.values()
+        # one template per method, gone once sweep_graph returned, although
+        # the runners' arguments (the walk's models) are still kept
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+
+    def test_cold_outcome_holds_no_program(self, walk):
+        out = run_proposed(walk.g, walk.platform, walk.star)
+        assert out.feasible and out.labeling is not None
+        held = reachable(out)
+        assert not [
+            o for o in held
+            if isinstance(o, (LinearProgram, CompiledLP, MethodModel))
+            or (isinstance(o, np.ndarray) and o.ndim > 1)
+        ]
+
