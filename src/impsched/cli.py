@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 from pathlib import Path
@@ -23,10 +24,11 @@ from .imprecision import (
     effective_workloads,
     format_labeling,
     imp_label,
+    precise_workloads,
 )
 from .listsched import Assignment, format_assignment
 from .lp import write_lp_file
-from .schedlp import Schedule, build_min_energy_lp
+from .schedlp import Schedule
 from .sweep import (
     InfeasibleError,
     MethodModel,
@@ -422,24 +424,21 @@ def cmd_label(args) -> int:
 def cmd_epsilon_star(args) -> int:
     g = _read_graph(args.graph)
     platform = _platform_from(args)
-    star, sched, asg = epsilon_star(g, platform)
-    gn = normalize_source(g)
+    model = MethodModel()
+    star, sched, asg = epsilon_star(g, platform, model)
     if args.out:
         _write_out(
             args.out,
-            format_schedule("min-energy", gn, sched, asg, star, platform.procs),
+            format_schedule("min-energy", model.gn, sched, asg, star, platform.procs),
         )
     if args.export_lp:
         with open(args.export_lp, "w") as fh:
-            write_lp_file(
-                build_min_energy_lp(gn, asg, platform.power, platform.freqs, gn.deadline),
-                fh,
-            )
+            write_lp_file(model.lp, fh)  # the program the run solved
     print(f"epsilon_star_J {_fmt(star)}")
     return EXIT_OK
 
 
-def _run_single(args, method: str) -> int:
+def _run_single(method: str, args) -> int:
     g = _read_graph(args.graph)
     platform = _platform_from(args)
     eps_max = _eps_from_args(g, platform, args)
@@ -489,18 +488,6 @@ def _run_single(args, method: str) -> int:
     return EXIT_OK
 
 
-def cmd_schedule(args) -> int:
-    return _run_single(args, "proposed")
-
-
-def cmd_baseline(args) -> int:
-    return _run_single(args, "baseline")
-
-
-def cmd_milp(args) -> int:
-    return _run_single(args, "milp")
-
-
 def cmd_sweep(args) -> int:
     platform = _platform_from(args)
     cfg = load_sweep_config(args.config, args)
@@ -538,7 +525,7 @@ def cmd_verify(args) -> int:
             raise UsageError(f"schedule labels do not fit the graph: {exc}")
         contract = WorkloadContract.from_labeling(g, wl)
     elif mode == "baseline":
-        contract = WorkloadContract.baseline(g)
+        contract = WorkloadContract.from_labeling(g, precise_workloads(g))
     elif mode == "min-energy":
         contract = WorkloadContract.precise_initial(g)
     elif mode == "milp":
@@ -620,17 +607,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.set_defaults(func=cmd_label)
 
-    for name, func in (
-        ("schedule", cmd_schedule),
-        ("baseline", cmd_baseline),
-        ("milp", cmd_milp),
+    for name, method in (
+        ("schedule", "proposed"),
+        ("baseline", "baseline"),
+        ("milp", "milp"),
     ):
         p = sub.add_parser(name, parents=[common])
         p.add_argument("graph")
         p.add_argument("--eps-ratio", type=float, help="budget as a fraction of eps*")
         p.add_argument("--eps-max", type=float, help="budget in Joules")
         p.add_argument("--export-lp", help="dump the program in LP format")
-        p.set_defaults(func=func)
+        p.set_defaults(func=functools.partial(_run_single, method))
 
     p = sub.add_parser("epsilon-star", parents=[common])
     p.add_argument("graph")

@@ -27,6 +27,7 @@ __all__ = [
     "imp_label",
     "reduction_objective",
     "effective_workloads",
+    "precise_workloads",
     "scheduling_workloads",
     "format_labeling",
 ]
@@ -229,6 +230,15 @@ def effective_workloads(g: TaskGraph, lab: Labeling) -> EffectiveWorkloads:
             optional_fixed[u] = t.optional if lab.precise[u] else 0
             total[u] = mandatory_eff[u] + optional_fixed[u]
     return EffectiveWorkloads(mandatory_eff, optional_fixed, total)
+
+
+def precise_workloads(g: TaskGraph) -> EffectiveWorkloads:
+    """Workloads of the labeling that keeps every non-exit task precise:
+    nothing is extended, so every task keeps its initial workload. The
+    baseline and the eps* reference schedule these."""
+    exits = set(g.exits())
+    precise = {u: True for u in g.tasks if u not in exits}
+    return effective_workloads(g, Labeling(precise, {u: False for u in g.tasks}))
 
 
 def reduction_objective(g: TaskGraph, lab: Labeling) -> int:

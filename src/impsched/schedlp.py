@@ -1,10 +1,12 @@
-"""LP formulations of the scheduling stage and schedule extraction.
+"""The LP of the scheduling stage and schedule extraction.
 
-Three variants share the timing core (durations, deadline, precedence with
-unconditional edge costs, per-processor chaining from the list-scheduler
-order): the QoS-maximizing program on labeled workloads, the minimum-energy
-program that executes everything precisely (its optimum is the sweep anchor),
-and the baseline that pins non-exit tasks to their initial workloads.
+One builder, build_qos_lp, writes the program from the workloads of a
+labeling: the timing core (durations, deadline, precedence with unconditional
+edge costs, per-processor chaining from the list-scheduler order), one load
+row per task, and either the energy budget with the QoS objective or, without
+a budget, minimum energy. The baseline and the minimum-energy program (its
+optimum is the sweep anchor) are that program under the labeling that keeps
+every task precise (imprecision.precise_workloads).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .energy import FrequencySet, PowerModel, energy_per_cycle
-from .imprecision import EffectiveWorkloads, precision, qos
+from .imprecision import EffectiveWorkloads, precise_workloads, precision, qos
 from .listsched import Assignment
 from .lp import EQ, INF, LE, LinearProgram, LPSolution
 from .taskgraph import TaskGraph
@@ -104,28 +106,36 @@ def build_qos_lp(
     asg: Assignment,
     pm: PowerModel,
     fs: FrequencySet,
-    eps_max: float,
+    eps_max: float | None,
     T_d: float,
 ) -> LinearProgram:
-    """Maximize mean exit precision on the labeled graph.
+    """The scheduling program on the workloads of a labeling.
 
-    Non-exit tasks execute exactly their labeled workload; exit tasks run
-    their (possibly extended) mandatory part plus a free optional amount,
-    under the energy budget eps_max.
+    Non-exit tasks execute exactly their labeled workload. Under an energy
+    budget eps_max, exit tasks run their (possibly extended) mandatory part
+    plus a free optional amount and the program maximizes mean exit
+    precision. Without one (None), exit tasks run their optional part in full
+    too and the program minimizes energy.
     """
     lp = LinearProgram()
     _add_timing_core(lp, g, asg, fs, T_d)
     exits = set(g.exits())
     for u in g.tasks:
+        t = g.task(u)
         total = {f"N[{u},{i}]": 1.0 for i in range(len(fs))}
-        if u in exits:
-            lp.add_var(f"o[{u}]", 0.0, float(g.task(u).optional))
+        if u not in exits:
+            lp.add_row(f"load[{u}]", total, EQ, float(wl.total[u]))
+        elif eps_max is None:
+            lp.add_row(f"load[{u}]", total, EQ, float(wl.mandatory_eff[u] + t.optional))
+        else:
+            lp.add_var(f"o[{u}]", 0.0, float(t.optional))
             total[f"o[{u}]"] = -1.0
             lp.add_row(f"load[{u}]", total, EQ, float(wl.mandatory_eff[u]))
-        else:
-            lp.add_row(f"load[{u}]", total, EQ, float(wl.total[u]))
-    lp.add_row("energy", _energy_coeffs(g, pm, fs), LE, eps_max)
-    _qos_objective(lp, g)
+    if eps_max is None:
+        lp.set_objective("min", _energy_coeffs(g, pm, fs))
+    else:
+        lp.add_row("energy", _energy_coeffs(g, pm, fs), LE, eps_max)
+        _qos_objective(lp, g)
     return lp
 
 
@@ -141,13 +151,7 @@ def build_min_energy_lp(
     The optimum is the reference budget for energy sweeps: the cheapest way
     to run all initial workloads within the deadline on this assignment.
     """
-    lp = LinearProgram()
-    _add_timing_core(lp, g, asg, fs, T_d)
-    for u in g.tasks:
-        total = {f"N[{u},{i}]": 1.0 for i in range(len(fs))}
-        lp.add_row(f"load[{u}]", total, EQ, float(g.task(u).initial_workload))
-    lp.set_objective("min", _energy_coeffs(g, pm, fs))
-    return lp
+    return build_qos_lp(g, precise_workloads(g), asg, pm, fs, None, T_d)
 
 
 def build_baseline_lp(
@@ -158,23 +162,8 @@ def build_baseline_lp(
     eps_max: float,
     T_d: float,
 ) -> LinearProgram:
-    """QoS program without labeling: non-exit tasks keep their initial
-    workloads; exit tasks run their base mandatory part plus free optional."""
-    lp = LinearProgram()
-    _add_timing_core(lp, g, asg, fs, T_d)
-    exits = set(g.exits())
-    for u in g.tasks:
-        t = g.task(u)
-        total = {f"N[{u},{i}]": 1.0 for i in range(len(fs))}
-        if u in exits:
-            lp.add_var(f"o[{u}]", 0.0, float(t.optional))
-            total[f"o[{u}]"] = -1.0
-            lp.add_row(f"load[{u}]", total, EQ, float(t.mandatory))
-        else:
-            lp.add_row(f"load[{u}]", total, EQ, float(t.initial_workload))
-    lp.add_row("energy", _energy_coeffs(g, pm, fs), LE, eps_max)
-    _qos_objective(lp, g)
-    return lp
+    """The QoS program under the labeling that keeps every task precise."""
+    return build_qos_lp(g, precise_workloads(g), asg, pm, fs, eps_max, T_d)
 
 
 def decode_schedule(

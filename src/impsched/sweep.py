@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .energy import FrequencySet, PowerModel, DEFAULT_FREQUENCY_SET, DEFAULT_POWER_MODEL
-from .imprecision import Labeling, imp_label, scheduling_workloads
+from .imprecision import Labeling, imp_label, precise_workloads, scheduling_workloads
 from .listsched import Assignment, heft_assign
 from .lp import CompiledLP, LinearProgram, solve_lp
 from .milp import build_milp, encode_solution, solve_branch_and_bound
@@ -56,6 +56,8 @@ CSV_HEADER = "graph,method,eps_ratio,feasible,qos,energy_J,makespan_s,runtime_s,
 
 METHODS = ("proposed", "baseline", "milp")
 
+PAST_INFEASIBLE = 2  # extra points a sweep probes beyond a method's cliff
+
 
 class PipelineError(RuntimeError):
     """Internal inconsistency (solver or verifier disagreement)."""
@@ -83,8 +85,6 @@ class SweepConfig:
     resolution: float = 0.05
     methods: tuple[str, ...] = ("proposed", "baseline")
     milp_time_limit: float = 600.0
-    milp_seed_with_proposed: bool = True
-    past_infeasible: int = 2  # extra points probed beyond the cliff
 
     def __post_init__(self):
         if not 0.0 < self.resolution < 1.0:
@@ -113,9 +113,9 @@ class MethodOutcome:
 @dataclass
 class MethodModel:
     """One LP method's program on one graph and platform, and what a row
-    needs to decode and verify its solution. Empty until a runner's first
-    call fills it; every later call re-solves the same program at its own
-    budget. compiled (the program's compile()) and basis are the walk's:
+    needs to decode and verify its solution. Empty until a runner's (or
+    epsilon_star's) first call fills it; every later call re-solves the same
+    program at its own budget. compiled (the program's compile()) and basis are the walk's:
     while compiled is set, every budget's program shares its arrays."""
 
     gn: TaskGraph | None = None
@@ -146,21 +146,6 @@ class SweepRow:
     nodes: int | None = None
 
 
-def _initial_workloads(g: TaskGraph) -> dict[str, float]:
-    return {u: float(g.task(u).initial_workload) for u in g.tasks}
-
-
-def _assign(g: TaskGraph, workloads, platform: PlatformConfig) -> Assignment:
-    return heft_assign(
-        g,
-        workloads,
-        platform.procs,
-        platform.freqs.f_max,
-        insertion=platform.heft_insertion,
-        lp_comm=platform.heft_lp_comm,
-    )
-
-
 def _checked(g, sched, asg, platform, eps_max, contract, method) -> None:
     report = verify_schedule(
         g, sched, asg, platform.power, platform.freqs, eps_max, g.deadline, contract
@@ -171,41 +156,68 @@ def _checked(g, sched, asg, platform, eps_max, contract, method) -> None:
         )
 
 
-def epsilon_star(
-    g: TaskGraph, platform: PlatformConfig
-) -> tuple[float, Schedule, Assignment]:
-    """Minimum energy that schedules every task precisely within the deadline."""
+def _fill(model: MethodModel, method: str, g, platform, eps_max=None) -> None:
+    """Fill an empty model: normalize, label (proposed) or keep every task
+    precise (baseline, minimum-energy), list-schedule the scheduling
+    workloads, build the LP. Without a budget the LP is eps*'s minimum-energy
+    program, and the contract pins every task to its initial workload."""
     gn = normalize_source(g)
-    asg = _assign(gn, _initial_workloads(gn), platform)
-    sol = solve_lp(
-        build_min_energy_lp(gn, asg, platform.power, platform.freqs, gn.deadline)
+    lab, wl = imp_label(gn) if method == "proposed" else (None, precise_workloads(gn))
+    asg = heft_assign(
+        gn,
+        {u: float(w) for u, w in scheduling_workloads(gn, wl).items()},
+        platform.procs,
+        platform.freqs.f_max,
+        insertion=platform.heft_insertion,
+        lp_comm=platform.heft_lp_comm,
     )
+    pm, fs, T_d = platform.power, platform.freqs, gn.deadline
+    # one program under three names, so that a trace tells the methods apart
+    if method == "proposed":
+        lp = build_qos_lp(gn, wl, asg, pm, fs, eps_max, T_d)
+    elif method == "baseline":
+        lp = build_baseline_lp(gn, asg, pm, fs, eps_max, T_d)
+    else:
+        lp = build_min_energy_lp(gn, asg, pm, fs, T_d)
+    model.gn, model.asg, model.lp, model.labeling = gn, asg, lp, lab
+    if eps_max is None:
+        model.contract = WorkloadContract.precise_initial(gn)
+        model.fixed_opt = {u: float(gn.task(u).optional) for u in gn.tasks}
+    else:
+        model.contract = WorkloadContract.from_labeling(gn, wl)
+        model.fixed_opt = wl.optional_fixed
+        model.compiled = lp.compile()
+
+
+def epsilon_star(
+    g: TaskGraph, platform: PlatformConfig, model: MethodModel | None = None
+) -> tuple[float, Schedule, Assignment]:
+    """Minimum energy that schedules every task precisely within the deadline.
+
+    model, if given, is empty; the call fills it as the runners fill theirs,
+    so its lp is the program solved.
+    """
+    model = MethodModel() if model is None else model
+    _fill(model, "minimum-energy", g, platform)
+    sol = solve_lp(model.lp)
     if sol.status == "infeasible":
         raise InfeasibleError(
             "no precise schedule meets the deadline; enlarge it or add processors"
         )
     if not sol.optimal:
         raise PipelineError(f"minimum-energy program ended {sol.status}: {sol.message}")
-    sched = decode_schedule(
-        gn,
-        platform.power,
-        platform.freqs,
-        sol,
-        fixed_opt={u: float(gn.task(u).optional) for u in gn.tasks},
-    )
-    _checked(
-        gn,
-        sched,
-        asg,
-        platform,
-        sol.objective * (1 + 1e-9),
-        WorkloadContract.precise_initial(gn),
-        "minimum-energy",
-    )
-    return sol.objective, sched, asg
+    gn = model.gn
+    sched = decode_schedule(gn, platform.power, platform.freqs, sol, fixed_opt=model.fixed_opt)
+    eps_max = sol.objective * (1 + 1e-9)
+    _checked(gn, sched, model.asg, platform, eps_max, model.contract, "minimum-energy")
+    return sol.objective, sched, model.asg
 
 
-def _solve_row(method: str, model: MethodModel, platform, eps_max, t0) -> MethodOutcome:
+def _run(method: str, g, platform, eps_max, model: MethodModel | None) -> MethodOutcome:
+    t0 = time.monotonic()
+    model = MethodModel() if model is None else model
+    if model.lp is None:
+        _fill(model, method, g, platform, eps_max)
     sol = solve_lp(model.program(eps_max), basis=model.basis)
     if sol.basis is not None:
         model.basis = sol.basis
@@ -231,12 +243,6 @@ def _solve_row(method: str, model: MethodModel, platform, eps_max, t0) -> Method
     )
 
 
-def _fill(model, gn, asg, lp, contract, fixed_opt, labeling=None) -> None:
-    model.gn, model.asg, model.lp, model.labeling = gn, asg, lp, labeling
-    model.contract, model.fixed_opt = contract, fixed_opt
-    model.compiled = lp.compile()
-
-
 def run_proposed(
     g: TaskGraph, platform: PlatformConfig, eps_max: float, model: MethodModel | None = None
 ) -> MethodOutcome:
@@ -246,36 +252,15 @@ def run_proposed(
     it, later calls re-solve it at their own budget from its last basis.
     Without one, the call builds a model of its own and keeps nothing of it.
     """
-    t0 = time.monotonic()
-    model = MethodModel() if model is None else model
-    if model.lp is None:
-        gn = normalize_source(g)
-        lab, wl = imp_label(gn)
-        workloads = {u: float(w) for u, w in scheduling_workloads(gn, wl).items()}
-        asg = _assign(gn, workloads, platform)
-        lp = build_qos_lp(gn, wl, asg, platform.power, platform.freqs, eps_max, gn.deadline)
-        contract = WorkloadContract.from_labeling(gn, wl)
-        _fill(model, gn, asg, lp, contract, wl.optional_fixed, lab)
-    return _solve_row("proposed", model, platform, eps_max, t0)
+    return _run("proposed", g, platform, eps_max, model)
 
 
 def run_baseline(
     g: TaskGraph, platform: PlatformConfig, eps_max: float, model: MethodModel | None = None
 ) -> MethodOutcome:
-    """QoS LP on the unlabeled graph: non-exit tasks keep initial workloads.
-
-    model is used as in run_proposed.
-    """
-    t0 = time.monotonic()
-    model = MethodModel() if model is None else model
-    if model.lp is None:
-        gn = normalize_source(g)
-        asg = _assign(gn, _initial_workloads(gn), platform)
-        lp = build_baseline_lp(gn, asg, platform.power, platform.freqs, eps_max, gn.deadline)
-        exits = set(gn.exits())
-        fixed = {u: float(gn.task(u).optional) for u in gn.tasks if u not in exits}
-        _fill(model, gn, asg, lp, WorkloadContract.baseline(gn), fixed)
-    return _solve_row("baseline", model, platform, eps_max, t0)
+    """The proposed pipeline under the labeling that keeps every task
+    precise. model is used as in run_proposed."""
+    return _run("baseline", g, platform, eps_max, model)
 
 
 def run_milp(
@@ -283,27 +268,23 @@ def run_milp(
     platform: PlatformConfig,
     eps_max: float,
     time_limit: float = 600.0,
-    seed_with_proposed: bool = True,
 ) -> MethodOutcome:
-    """Exact reference via branch-and-bound, optionally warm-started with the
-    proposed method's solution (which is always MILP-feasible)."""
+    """Exact reference via branch-and-bound, warm-started with the proposed
+    method's solution (which is always MILP-feasible)."""
     t0 = time.monotonic()
     gn = normalize_source(g)
     model = build_milp(
         gn, platform.procs, platform.freqs, platform.power, eps_max, gn.deadline
     )
     seed_values = None
-    if seed_with_proposed:
-        prop = run_proposed(g, platform, eps_max)
-        if prop.feasible:
-            seed_values = encode_solution(model, prop.assignment, prop.schedule)
+    prop = run_proposed(g, platform, eps_max)
+    if prop.feasible:
+        seed_values = encode_solution(model, prop.assignment, prop.schedule)
     res, sched, asg = solve_branch_and_bound(
         model, time_limit=time_limit, seed_values=seed_values
     )
     runtime = time.monotonic() - t0
-    if res.status == "infeasible":
-        return MethodOutcome("milp", False, runtime=runtime, nodes=res.nodes, status="infeasible")
-    if sched is None:
+    if sched is None:  # infeasible, or no incumbent within the time limit
         return MethodOutcome("milp", False, runtime=runtime, nodes=res.nodes, status=res.status)
     _checked(
         gn,
@@ -359,11 +340,7 @@ def sweep_graph(
         "proposed": run_proposed,
         "baseline": run_baseline,
         "milp": lambda g, platform, eps_max, model: run_milp(
-            g,
-            platform,
-            eps_max,
-            time_limit=cfg.milp_time_limit,
-            seed_with_proposed=cfg.milp_seed_with_proposed,
+            g, platform, eps_max, time_limit=cfg.milp_time_limit
         ),
     }
     rows: list[SweepRow] = []
@@ -379,7 +356,7 @@ def sweep_graph(
                 )
                 if not out.feasible:
                     beyond = 0 if beyond is None else beyond + 1
-                    if beyond >= cfg.past_infeasible:
+                    if beyond >= PAST_INFEASIBLE:
                         break
         finally:
             # the rows' programs compile from their own rows from here on

@@ -91,21 +91,6 @@ class WorkloadContract:
         return cls(bounds, mandatory)
 
     @classmethod
-    def baseline(cls, g: TaskGraph) -> "WorkloadContract":
-        exits = set(g.exits())
-        bounds = {}
-        mandatory = {}
-        for u in g.tasks:
-            t = g.task(u)
-            mandatory[u] = float(t.mandatory)
-            if u in exits:
-                bounds[u] = (float(t.mandatory), float(t.initial_workload))
-            else:
-                w = float(t.initial_workload)
-                bounds[u] = (w, w)
-        return cls(bounds, mandatory)
-
-    @classmethod
     def from_milp_schedule(cls, g: TaskGraph, sched: Schedule) -> "WorkloadContract":
         """Recompute each task's input error from the executed optional cycles."""
         bounds = {}

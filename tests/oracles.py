@@ -11,8 +11,9 @@ import itertools
 import numpy as np
 
 from impsched.lp import EQ, GE, LE, LinearProgram, solve_lp
-from impsched.schedlp import _energy_coeffs, _qos_objective
+from impsched.schedlp import _add_timing_core, _energy_coeffs, _qos_objective
 from impsched.taskgraph import NO_OPTIONAL, TaskGraph, topological_order
+from impsched.verify import WorkloadContract
 
 
 # --- labeling ----------------------------------------------------------------
@@ -85,6 +86,76 @@ def backward_pass_full(g: TaskGraph, precise: dict[str, bool]) -> dict[str, bool
         for p in candidates[:best_k]:
             precise[p] = False
     return precise
+
+
+# --- the scheduling programs, one builder per method ----------------------------
+# Each method's program and contract as written before they became one builder
+# under the all-precise labeling; the package's must equal them bit for bit.
+
+def qos_lp_reference(g, wl, asg, pm, fs, eps_max, T_d) -> LinearProgram:
+    """Proposed: labeled non-exit loads, exits mandatory_eff + free optional."""
+    lp = LinearProgram()
+    _add_timing_core(lp, g, asg, fs, T_d)
+    exits = set(g.exits())
+    for u in g.tasks:
+        total = {f"N[{u},{i}]": 1.0 for i in range(len(fs))}
+        if u in exits:
+            lp.add_var(f"o[{u}]", 0.0, float(g.task(u).optional))
+            total[f"o[{u}]"] = -1.0
+            lp.add_row(f"load[{u}]", total, EQ, float(wl.mandatory_eff[u]))
+        else:
+            lp.add_row(f"load[{u}]", total, EQ, float(wl.total[u]))
+    lp.add_row("energy", _energy_coeffs(g, pm, fs), LE, eps_max)
+    _qos_objective(lp, g)
+    return lp
+
+
+def min_energy_lp_reference(g, asg, pm, fs, T_d) -> LinearProgram:
+    """eps*: every task runs its initial workload, minimum energy."""
+    lp = LinearProgram()
+    _add_timing_core(lp, g, asg, fs, T_d)
+    for u in g.tasks:
+        total = {f"N[{u},{i}]": 1.0 for i in range(len(fs))}
+        lp.add_row(f"load[{u}]", total, EQ, float(g.task(u).initial_workload))
+    lp.set_objective("min", _energy_coeffs(g, pm, fs))
+    return lp
+
+
+def baseline_lp_reference(g, asg, pm, fs, eps_max, T_d) -> LinearProgram:
+    """Baseline: non-exit tasks keep their initial workloads, exits run their
+    base mandatory part plus free optional."""
+    lp = LinearProgram()
+    _add_timing_core(lp, g, asg, fs, T_d)
+    exits = set(g.exits())
+    for u in g.tasks:
+        t = g.task(u)
+        total = {f"N[{u},{i}]": 1.0 for i in range(len(fs))}
+        if u in exits:
+            lp.add_var(f"o[{u}]", 0.0, float(t.optional))
+            total[f"o[{u}]"] = -1.0
+            lp.add_row(f"load[{u}]", total, EQ, float(t.mandatory))
+        else:
+            lp.add_row(f"load[{u}]", total, EQ, float(t.initial_workload))
+    lp.add_row("energy", _energy_coeffs(g, pm, fs), LE, eps_max)
+    _qos_objective(lp, g)
+    return lp
+
+
+def baseline_contract_reference(g: TaskGraph) -> WorkloadContract:
+    """Baseline windows: non-exit tasks pinned to their initial workloads,
+    exits between mandatory and initial workload."""
+    exits = set(g.exits())
+    bounds = {}
+    mandatory = {}
+    for u in g.tasks:
+        t = g.task(u)
+        mandatory[u] = float(t.mandatory)
+        if u in exits:
+            bounds[u] = (float(t.mandatory), float(t.initial_workload))
+        else:
+            w = float(t.initial_workload)
+            bounds[u] = (w, w)
+    return WorkloadContract(bounds, mandatory)
 
 
 # --- LP optimality certificate -------------------------------------------------

@@ -41,6 +41,7 @@ from impsched.taskgraph import (
 )
 from impsched.verify import WorkloadContract, verify_schedule
 from oracles import (
+    baseline_contract_reference,
     brute_force_labeling_min,
     dual_certificate_ok,
     exhaustive_best_qos,
@@ -190,9 +191,7 @@ def test_criterion_4_heuristic_vs_optimal(small30):
             points += 1
             remaining = budget - (time.monotonic() - t0)
             tl = 2.0 if remaining > 120 else 0.5
-            milp = run_milp(
-                g, platform, ratio * star, time_limit=tl, seed_with_proposed=True
-            )
+            milp = run_milp(g, platform, ratio * star, time_limit=tl)
             if milp.status == "optimal":
                 proven += 1
             elif milp.feasible:
@@ -388,7 +387,7 @@ def test_criterion_9_verifier_independence(suite20):
         for ratio in (1.0, 0.9, 0.8):
             for runner, make_contract in (
                 (run_proposed, None),
-                (run_baseline, lambda gn=gn: WorkloadContract.baseline(gn)),
+                (run_baseline, lambda gn=gn: baseline_contract_reference(gn)),
             ):
                 out = runner(g, platform, ratio * star)
                 if not out.feasible:

@@ -166,7 +166,7 @@ class TestScheduleVerify:
 
 
 class TestExportLp:
-    @pytest.mark.parametrize("cmd", ["schedule", "baseline"])
+    @pytest.mark.parametrize("cmd", ["schedule", "baseline", "epsilon-star"])
     def test_exports_the_program_the_run_solved(self, cmd, graph_file, tmp_path, monkeypatch):
         solved = []
 
@@ -176,9 +176,10 @@ class TestExportLp:
 
         monkeypatch.setattr(sweep, "solve_lp", capture)
         path = tmp_path / "run.lp"
-        assert run(f"{cmd} {graph_file} --eps-ratio 0.8 --export-lp {path}") == 0
+        budget = "" if cmd == "epsilon-star" else "--eps-ratio 0.8"
+        assert run(f"{cmd} {graph_file} {budget} --export-lp {path}") == 0
         # eps* is solved first, the run's own program last
-        assert len(solved) == 2
+        assert len(solved) == (1 if cmd == "epsilon-star" else 2)
         want = io.StringIO()
         write_lp_file(solved[-1], want)
         assert path.read_text() == want.getvalue()

@@ -5,15 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_graph
 from impsched.imprecision import (
+    Labeling,
     LabelingError,
     backward_pass,
     base_case1_decision,
+    effective_workloads,
     format_labeling,
     forward_pass,
     imp_label,
     input_error,
     mandatory_extension,
     output_error,
+    precise_workloads,
     precision,
     qos,
     reduction_objective,
@@ -370,6 +373,27 @@ class TestHelpers:
         lab, wl = imp_label(g)  # a discards, b extended
         got = scheduling_workloads(g, wl)
         assert got == {"a": 100, "b": 130 + 40}
+
+    def test_precise_workloads(self, chain3):
+        wl = precise_workloads(chain3)
+        # nothing extended; every non-exit task runs its optional part in full
+        assert wl.mandatory_eff == {"a": 100, "b": 200, "c": 150}
+        assert wl.optional_fixed == {"a": 50, "b": 80}
+        assert wl.total == {"a": 150, "b": 280}
+
+    @pytest.mark.parametrize("regime", sorted(MANDATORY_REGIMES))
+    def test_precise_workloads_are_the_initial_ones(self, regime):
+        params = GeneratorParams(n_tasks=20, mandatory_regime=regime, seed=5)
+        g = normalize_source(generate_random_graph(params))
+        exits = set(g.exits())
+        all_precise = Labeling(
+            {u: True for u in g.tasks if u not in exits}, {u: False for u in g.tasks}
+        )
+        wl = precise_workloads(g)
+        assert wl == effective_workloads(g, all_precise)
+        assert wl.mandatory_eff == {u: t.mandatory for u, t in g.tasks.items()}
+        initial = {u: t.initial_workload for u, t in g.tasks.items()}
+        assert scheduling_workloads(g, wl) == initial
 
     def test_format_labeling(self):
         g = make_graph(

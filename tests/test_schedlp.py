@@ -2,7 +2,7 @@ import pytest
 
 from conftest import make_graph
 from impsched.energy import FrequencySet, PowerModel, energy_per_cycle
-from impsched.imprecision import imp_label, scheduling_workloads
+from impsched.imprecision import imp_label, precise_workloads, scheduling_workloads
 from impsched.listsched import heft_assign
 from impsched.lp import solve_lp
 from impsched.schedlp import (
@@ -11,9 +11,28 @@ from impsched.schedlp import (
     build_qos_lp,
     decode_schedule,
 )
-from impsched.sweep import epsilon_star, run_proposed
-from impsched.taskgraph import GeneratorParams, generate_random_graph, normalize_source
-from oracles import grid_min_energy_two_chain
+from impsched.sweep import (
+    MethodModel,
+    default_platform,
+    epsilon_star,
+    run_baseline,
+    run_proposed,
+)
+from impsched.taskgraph import (
+    MANDATORY_REGIMES,
+    GeneratorParams,
+    generate_random_graph,
+    normalize_source,
+)
+from impsched.verify import WorkloadContract
+from oracles import (
+    baseline_contract_reference,
+    baseline_lp_reference,
+    grid_min_energy_two_chain,
+    min_energy_lp_reference,
+    qos_lp_reference,
+)
+from test_sweep import same_program
 
 # monotone per-cycle energy (no static term) keeps corner cases analytic
 SIMPLE_PM = PowerModel(1e-27, 3.0, 0.0, 0.0)
@@ -192,3 +211,56 @@ class TestPipelineInvariants:
                 assert lo - 1e-4 <= total <= hi + 1e-4
             else:
                 assert total == pytest.approx(wl.total[u], abs=max(1e-4, 1e-7 * wl.total[u]))
+
+
+# every regime, n from 10 to 44
+ONE_BUILDER_GRAPHS = [
+    (regime, n, 40 + i)
+    for i, regime in enumerate(sorted(MANDATORY_REGIMES))
+    for n in (10, 27, 44)
+]
+
+
+class TestOneBuilder:
+    """The baseline and eps* programs are the proposed one under the labeling
+    that keeps every task precise, equal bit for bit to the programs their
+    own builders wrote before the merge (oracles.py)."""
+
+    @pytest.mark.parametrize("regime, n, seed", ONE_BUILDER_GRAPHS)
+    def test_programs_and_contracts_equal_the_per_method_ones(self, regime, n, seed):
+        platform = default_platform()
+        pm, fs = platform.power, platform.freqs
+        params = GeneratorParams(n_tasks=n, mandatory_regime=regime, seed=seed)
+        g = generate_random_graph(params)
+        star_model = MethodModel()
+        star, _, _ = epsilon_star(g, platform, star_model)
+        gn, T_d, eps = star_model.gn, star_model.gn.deadline, 0.8 * star
+        _, wl = imp_label(gn)
+        # before the merge, the baseline and eps* list-scheduled initial workloads
+        initial = {u: float(t.initial_workload) for u, t in gn.tasks.items()}
+        asg = heft_assign(gn, initial, platform.procs, fs.f_max)
+        assert star_model.asg == asg
+        min_energy = min_energy_lp_reference(gn, asg, pm, fs, T_d)
+        baseline_ref = baseline_lp_reference(gn, asg, pm, fs, eps, T_d)
+        proposed_ref = qos_lp_reference(gn, wl, asg, pm, fs, eps, T_d)
+        programs = [
+            (build_qos_lp(gn, wl, asg, pm, fs, eps, T_d), proposed_ref),
+            (build_baseline_lp(gn, asg, pm, fs, eps, T_d), baseline_ref),
+            (build_min_energy_lp(gn, asg, pm, fs, T_d), min_energy),
+            (star_model.lp, min_energy),
+        ]
+        # and what the runners build
+        baseline = MethodModel()
+        run_baseline(g, platform, eps, baseline)
+        assert baseline.asg == asg
+        programs.append((baseline.lp, baseline_ref))
+        proposed = MethodModel()
+        run_proposed(g, platform, eps, proposed)
+        programs.append(
+            (proposed.lp, qos_lp_reference(gn, wl, proposed.asg, pm, fs, eps, T_d))
+        )
+        for lp, reference in programs:
+            assert same_program(lp.compile(), reference.compile())
+        contract = baseline_contract_reference(gn)
+        assert WorkloadContract.from_labeling(gn, precise_workloads(gn)) == contract
+        assert baseline.contract == contract

@@ -7,6 +7,7 @@ import pytest
 
 from impsched import sweep
 from impsched.imprecision import imp_label, scheduling_workloads
+from impsched.listsched import heft_assign
 from impsched.lp import CompiledLP, LinearProgram, solve_lp
 from impsched.schedlp import build_baseline_lp, build_qos_lp
 from impsched.sweep import (
@@ -226,10 +227,19 @@ def fresh_program(method, g, platform, eps_max) -> CompiledLP:
     if method == "proposed":
         _, wl = imp_label(gn)
         workloads = {u: float(w) for u, w in scheduling_workloads(gn, wl).items()}
-        asg = sweep._assign(gn, workloads, platform)
+    else:
+        workloads = {u: float(t.initial_workload) for u, t in gn.tasks.items()}
+    asg = heft_assign(
+        gn,
+        workloads,
+        platform.procs,
+        fs.f_max,
+        insertion=platform.heft_insertion,
+        lp_comm=platform.heft_lp_comm,
+    )
+    if method == "proposed":
         lp = build_qos_lp(gn, wl, asg, pm, fs, eps_max, gn.deadline)
     else:
-        asg = sweep._assign(gn, sweep._initial_workloads(gn), platform)
         lp = build_baseline_lp(gn, asg, pm, fs, eps_max, gn.deadline)
     return lp.compile()
 

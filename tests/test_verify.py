@@ -7,6 +7,7 @@ from impsched.sweep import epsilon_star, default_platform, run_baseline, run_pro
 from impsched.taskgraph import GeneratorParams, generate_random_graph, normalize_source
 from impsched.verify import WorkloadContract, verify_schedule
 from impsched.imprecision import imp_label
+from oracles import baseline_contract_reference
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +172,7 @@ class TestContracts:
             platform.freqs,
             0.95 * star,
             gn.deadline,
-            WorkloadContract.baseline(gn),
+            baseline_contract_reference(gn),
         )
         assert report.ok, report.format()
 
