@@ -370,7 +370,7 @@ def _platform_from(args) -> PlatformConfig:
 def _read_graph(path: str) -> TaskGraph:
     try:
         return parse_task_graph(Path(path).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read graph {path!r}: {exc}")
 
 
@@ -507,7 +507,7 @@ def cmd_verify(args) -> int:
     platform = _platform_from(args)
     try:
         text = Path(args.schedule).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read schedule {args.schedule!r}: {exc}")
     mode, eps_max, procs, labeling, asg, sched = parse_schedule(text)
     if procs > platform.procs:
@@ -543,9 +543,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    delta = _check_finite("--delta", args.delta)
     try:
         text = Path(args.points).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read points file {args.points!r}: {exc}")
     points = []
     for line_no, raw in enumerate(text.splitlines(), 1):
@@ -555,8 +556,14 @@ def cmd_fit(args) -> int:
         toks = line.split()
         if len(toks) != 2:
             raise UsageError(f"points file line {line_no}: expected '<f_GHz> <p_mW>'")
-        points.append((float(toks[0]) * 1e9, float(toks[1]) * 1e-3))
-    fit = fit_power_model(points, delta=args.delta * 1e-3)
+        try:
+            points.append((_finite(toks[0]) * 1e9, _finite(toks[1]) * 1e-3))
+        except ValueError as exc:
+            raise UsageError(f"points file line {line_no}: {exc}")
+    try:
+        fit = fit_power_model(points, delta=delta * 1e-3)
+    except (ValueError, OverflowError) as exc:
+        raise UsageError(f"points file {args.points!r}: {exc}")
     alpha, beta, gamma, delta = fit.model.to_ghz_mw()
     print(f"alpha {alpha:.6f}")
     print(f"beta {beta:.6f}")

@@ -132,14 +132,16 @@ def fit_power_model(points, delta: float) -> FitResult:
     power = np.array([p for _, p in pts])
     if len(set(freqs.tolist())) < 3:
         raise ValueError("need at least 3 distinct frequencies")
-    if np.any(freqs <= 0) or np.any(power <= 0):
-        raise ValueError("frequencies and dynamic powers must be positive")
+    if not np.all((0 < freqs) & (freqs < np.inf) & (0 < power) & (power < np.inf)):
+        raise ValueError("frequencies and dynamic powers must be positive and finite")
 
     # Work in normalized units so f^beta stays O(1) regardless of Hz/GHz input.
     f_ref = float(freqs.max())
     p_ref = float(power.max())
     fn = freqs / f_ref
     pn = power / p_ref
+    if not np.all((fn > 0) & (pn > 0)):  # underflowed: log(0) would poison the fit
+        raise ValueError("frequencies or dynamic powers span too many decades to fit")
 
     beta = float(np.polyfit(np.log(fn + 1e-300), np.log(pn), 1)[0]) if len(
         set(fn.tolist())
@@ -182,7 +184,8 @@ def fit_power_model(points, delta: float) -> FitResult:
     if not np.isfinite([alpha, beta, gamma]).all() or alpha <= 0 or beta <= 1:
         raise ValueError("power-model fit is degenerate for these points")
 
-    alpha_si = alpha * p_ref / f_ref ** beta
+    with np.errstate(over="ignore"):  # alpha_si = 0 then fails PowerModel's check
+        alpha_si = alpha * p_ref / f_ref ** beta
     gamma_si = max(gamma, 0.0) * p_ref / f_ref
     model = PowerModel(alpha_si, beta, gamma_si, delta)
     rms = math.sqrt(float(np.mean(residual(alpha, beta, gamma) ** 2))) * p_ref

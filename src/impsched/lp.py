@@ -10,28 +10,31 @@ matrices and scaling, and afterwards it compiles from its own rows.
 
 The basis inverse is kept in product form: a dense inverse of the basis at
 the last refactorization times an eta file of rank-1 pivot updates, so a
-pivot costs O(m*k) for k updates instead of rewriting an m x m matrix. Slack and artificial columns are signed unit columns and are
-never built: pricing, column reads and row activities treat them as (row,
-sign) pairs, and a refactorization inverts only the structural kernel of the
-basis, the rows its unit columns leave uncovered. A solve ends on the eta
-file as it stands unless it fails a residual check, and refactors only then.
-Solutions are re-checked against the original data before being reported;
-numerical trouble is surfaced as a status, never silently.
+pivot costs O(m*k) for k updates instead of rewriting an m x m matrix. Slack
+columns are identity columns and are never built: pricing, column reads and
+row activities take them from their row, and a refactorization inverts only
+the structural kernel of the basis, the rows its slacks leave uncovered. A
+solve ends on the eta file as it stands unless it fails a residual check,
+and refactors only then. Solutions are re-checked against the original data
+before being reported; numerical trouble is surfaced as a status, never
+silently.
 
-A solve starts from the first of these that fits (_Simplex.solve):
-  warm       the basis of an earlier solve of the same program
-             (LPSolution.basis), after a change of the right-hand side or
-             of variable bounds;
-  slack      every slack basic and every structural column on the bound its
-             cost prefers, which is dual feasible whenever those bounds are
-             finite (the scheduling and MILP programs are boxed that way);
-  two-phase  phase 1 on artificials, then the primal simplex, when a
-             preferred bound is infinite.
-From a warm or slack basis a bounded dual simplex, with reduced costs
-updated in place between refactorizations, restores primal feasibility or
-proves that none exists, and the primal simplex (Dantzig pricing with a
-Bland fallback for anti-cycling) polishes the result. LPSolution.start
-records which start a solve took.
+solve_lp requires every column to have a finite bound on the side its cost
+prefers (the upper bound when the cost, in min sense, is negative, else the
+lower); the scheduling and MILP programs are boxed that way. Such a program
+is bounded, and a solve starts from the first of these that fits
+(_Simplex.solve):
+  warm   the basis of an earlier solve of the same program
+         (LPSolution.basis), after a change of the right-hand side or of
+         variable bounds;
+  slack  every slack basic and every structural column on its preferred
+         bound: with y = 0 the reduced costs are the costs, so this basis
+         is always dual feasible.
+From either a bounded dual simplex, with reduced costs updated in place
+between refactorizations, restores primal feasibility or proves that none
+exists, and the primal simplex (Dantzig pricing with a Bland fallback for
+anti-cycling) polishes the result. LPSolution.start records which start a
+solve took.
 
 Dual conventions (reduced cost rc = c - A^T y):
   min: '<=' rows carry y <= 0, '>=' rows y >= 0; x at lower bound -> rc >= 0,
@@ -224,7 +227,7 @@ class CompiledLP:
 
 @dataclass
 class LPSolution:
-    status: str  # optimal | infeasible | unbounded | numerical
+    status: str  # optimal | infeasible | numerical
     objective: float | None
     values: dict[str, float]
     duals: dict[str, float]
@@ -236,12 +239,11 @@ class LPSolution:
     # None when the solution was not re-checked
     violation: float | None = None
     # final status of each structural and slack column (0 at lower bound,
-    # 1 at upper, 2 basic, 3 free nonbasic), to warm-start a later solve of
-    # the same program; set when optimal, or infeasible by the dual simplex
+    # 1 at upper, 2 basic), to warm-start a later solve of the same
+    # program; set when optimal, or infeasible by the dual simplex
     basis: np.ndarray | None = None
-    # how the simplex started: "warm" (the caller's basis), "slack" (the
-    # slack basis, dual simplex) or "two-phase" (phase 1 on artificials);
-    # "" when no simplex ran (an empty variable box or no rows)
+    # how the simplex started: "warm" (the caller's basis) or "slack" (the
+    # slack basis); "" when no simplex ran (an empty variable box or no rows)
     start: str = ""
 
     @property
@@ -335,9 +337,8 @@ def _dual_tol(c: np.ndarray) -> float:
 class _Simplex:
     """Bounded-variable simplex on pre-scaled dense data (nr >= 1).
 
-    The columns are [A | U]: the nv structural columns of A, then unit
-    columns, one slack per row and the artificials of phase 1, each held as
-    its row and sign (unit_row, unit_sign), never as a matrix.
+    The columns are [A | I]: the nv structural columns of A, then one slack
+    per row, the identity column of that row, which is never built.
 
     B^-1 = (I + P Q^T) B0^-1, where B0^-1 is the dense inverse taken at the
     last refactorization and the k columns of P and Q (stored as the first k
@@ -346,10 +347,8 @@ class _Simplex:
     A refactorization inverts only the basis's structural kernel (_refactor);
     the end of a solve refactors only when the basis fails _residuals_ok.
 
-    solve() loads a caller's basis or the slack basis through _load_basis
-    and runs the dual simplex (_dual) from it; only when neither fits does
-    it build the two-phase start (_init_basis, phase 1,
-    _drive_out_artificials).
+    solve() loads a caller's basis through _load_basis where it fits, else
+    the slack basis, and runs the dual simplex (_dual) from it.
     """
 
     PIV_TOL = 1e-9
@@ -369,119 +368,56 @@ class _Simplex:
         self.nr, self.nv = nr, nv
         slack_lo = np.array([0.0 if s == LE else (-INF if s == GE else 0.0) for s in senses])
         slack_hi = np.array([INF if s == LE else (0.0 if s == GE else 0.0) for s in senses])
-        self.ncols = self.total = nv + nr
+        self.ncols = nv + nr
         self.A = A
-        # column nv + j is the signed unit column unit_sign[j] * e_unit_row[j]:
-        # the slacks first, then the artificials _init_basis appends
-        self.unit_row = np.arange(nr)
-        self.unit_sign = np.ones(nr)
         self.b = b.astype(float)
         self.lo = np.concatenate([lo, slack_lo])
         self.hi = np.concatenate([hi, slack_hi])
         self.c_min = c_min
-        self.n_art = 0
         self.iterations = 0
         self.refactors = 0
         self.eta_p = np.empty((self.REFACTOR_EVERY, nr))
         self.eta_q = np.empty((self.REFACTOR_EVERY, nr))
 
     def _prices(self, y):
-        """y [A | U] for every column: y A, then y[row] * sign per unit column."""
-        return np.concatenate([y @ self.A, y[self.unit_row] * self.unit_sign])
+        """y [A | I] for every column: y A, then y itself for the slacks."""
+        return np.concatenate([y @ self.A, y])
 
     def _times(self, x):
-        """[A | U] x."""
-        unit = np.bincount(self.unit_row, self.unit_sign * x[self.nv :], minlength=self.nr)
-        return self.A @ x[: self.nv] + unit
+        """[A | I] x."""
+        return self.A @ x[: self.nv] + x[self.nv :]
 
     def _column(self, j):
-        """Column j of [A | U], dense."""
+        """Column j of [A | I], dense."""
         if j < self.nv:
             return self.A[:, j]
         a = np.zeros(self.nr)
-        a[self.unit_row[j - self.nv]] = self.unit_sign[j - self.nv]
+        a[j - self.nv] = 1.0
         return a
-
-    def _init_basis(self):
-        nr, nv, ncols = self.nr, self.nv, self.ncols
-        x = np.zeros(ncols)
-        x[:nv] = np.where(
-            np.isfinite(self.lo[:nv]),
-            self.lo[:nv],
-            np.where(np.isfinite(self.hi[:nv]), self.hi[:nv], 0.0),
-        )
-        # 0 at lower, 1 at upper, 2 basic, 3 free nonbasic
-        vstat = np.zeros(ncols, dtype=np.int8)
-        for j in range(nv):
-            if np.isfinite(self.lo[j]):
-                vstat[j] = 0
-            elif np.isfinite(self.hi[j]):
-                vstat[j] = 1
-            else:
-                vstat[j] = 3
-        r = self.b - self.A @ x[:nv]
-        basis = np.empty(nr, dtype=np.int64)
-        diag = np.ones(nr)
-        art_rows: list[tuple[int, float, float]] = []
-        for i in range(nr):
-            s = nv + i
-            if self.lo[s] - 1e-9 <= r[i] <= self.hi[s] + 1e-9:
-                x[s] = r[i]
-                vstat[s] = 2
-                basis[i] = s
-            else:
-                v = min(max(r[i], self.lo[s]), self.hi[s])
-                x[s] = v
-                vstat[s] = 0 if v == self.lo[s] else 1
-                resid = r[i] - v
-                art_rows.append((i, 1.0 if resid > 0 else -1.0, abs(resid)))
-                basis[i] = ncols + len(art_rows) - 1
-        if art_rows:
-            na = len(art_rows)
-            rows, signs, resids = (np.array(v) for v in zip(*art_rows))
-            diag[rows] = signs
-            self.unit_row = np.concatenate([self.unit_row, rows])
-            self.unit_sign = np.concatenate([self.unit_sign, signs])
-            self.lo = np.concatenate([self.lo, np.zeros(na)])
-            self.hi = np.concatenate([self.hi, np.full(na, INF)])
-            x = np.concatenate([x, resids])
-            vstat = np.concatenate([vstat, np.full(na, 2, dtype=np.int8)])
-        self.n_art = len(art_rows)
-        self.total = self.ncols + self.n_art
-        self.x = x
-        self.vstat = vstat
-        self.basis = basis
-        self.B0_inv = np.diag(diag)
-        self.n_eta = 0
-        self.in_basis = np.zeros(self.total, dtype=bool)
-        self.in_basis[basis] = True
 
     def _refactor(self):
         """B0^-1 from the structural kernel of the basis.
 
-        Each basic unit column covers its own row. With those rows and
-        positions moved last, B = [[B_kk, 0], [B_sk, D]] with D the diagonal
-        of their signs, so B^-1 = [[K, 0], [-D B_sk K, D]] for K = B_kk^-1.
+        Each basic slack covers its own row. With those rows and positions
+        moved last, B = [[B_kk, 0], [B_sk, I]], so B^-1 = [[K, 0], [-B_sk K, I]]
+        for K = B_kk^-1.
         """
         nv = self.nv
-        unit = self.basis >= nv
-        pos_s, pos_u = np.nonzero(~unit)[0], np.nonzero(unit)[0]
+        slack = self.basis >= nv
+        pos_s, pos_u = np.nonzero(~slack)[0], np.nonzero(slack)[0]
         cols = self.basis[pos_s]
-        rows_u = self.unit_row[self.basis[pos_u] - nv]
-        sign_u = self.unit_sign[self.basis[pos_u] - nv]
+        rows_u = self.basis[pos_u] - nv
         covered = np.zeros(self.nr, dtype=bool)
         covered[rows_u] = True
         rows_k = np.nonzero(~covered)[0]
-        if len(rows_k) != len(cols):  # two basic unit columns share a row
-            raise _NumericalTrouble("singular basis during refactorization")
         try:
             K = np.linalg.inv(self.A[np.ix_(rows_k, cols)])
         except np.linalg.LinAlgError:
             raise _NumericalTrouble("singular basis during refactorization")
         inv = np.zeros((self.nr, self.nr))
         inv[np.ix_(pos_s, rows_k)] = K
-        inv[np.ix_(pos_u, rows_k)] = -sign_u[:, None] * (self.A[np.ix_(rows_u, cols)] @ K)
-        inv[pos_u, rows_u] = sign_u
+        inv[np.ix_(pos_u, rows_k)] = -(self.A[np.ix_(rows_u, cols)] @ K)
+        inv[pos_u, rows_u] = 1.0
         self.B0_inv = inv
         self.n_eta = 0
         self.refactors += 1
@@ -537,8 +473,8 @@ class _Simplex:
             y = self._btran(c[self.basis])
             d = c - self._prices(y)
             can = ~self.in_basis & ~fixed
-            up = can & (d < -tol_d) & ((self.vstat == 0) | (self.vstat == 3))
-            down = can & (d > tol_d) & ((self.vstat == 1) | (self.vstat == 3))
+            up = can & (d < -tol_d) & (self.vstat == 0)
+            down = can & (d > tol_d) & (self.vstat == 1)
             viol = np.where(up, -d, 0.0) + np.where(down, d, 0.0)
             if not np.any(viol > 0.0):
                 return "optimal"
@@ -560,7 +496,8 @@ class _Simplex:
             t_basic = float(t_arr.min())
             t_range = self.hi[q] - self.lo[q]
             if not np.isfinite(min(t_basic, t_range)):
-                return "unbounded"
+                # a program boxed on the side of its costs has no such ray
+                raise _NumericalTrouble("no bound stops the entering column")
 
             if t_range <= t_basic + self.RATIO_TOL:
                 # entering variable flips to its opposite bound, basis unchanged
@@ -597,25 +534,6 @@ class _Simplex:
             else:
                 degen = 0
                 bland = False
-
-    def _drive_out_artificials(self, fixed):
-        """Pivot basic artificials out where possible; leave redundant rows."""
-        for i in range(self.nr):
-            if self.basis[i] < self.ncols:
-                continue
-            e_i = np.zeros(self.nr)
-            e_i[i] = 1.0
-            row = self._prices(self._btran(e_i))[: self.ncols]
-            cand = np.nonzero(
-                (np.abs(row) > 1e-7) & ~self.in_basis[: self.ncols] & ~fixed[: self.ncols]
-            )[0]
-            if len(cand) == 0:
-                continue
-            q = int(cand[0])
-            leaving = int(self.basis[i])
-            self.vstat[leaving] = 0
-            self.x[leaving] = 0.0
-            self._pivot(i, q, self._ftran(self._column(q)))
 
     def _iterate_polished(self, c, fixed, maxiter):
         """Run to optimality; refactor and re-price only while the product-form
@@ -752,8 +670,7 @@ class _Simplex:
         """The vstat of the all-slack basis: every slack basic, every
         structural column on the bound its cost prefers (upper when c_j < 0,
         otherwise lower). With y = 0 the reduced costs are c, so the basis is
-        dual feasible unless a preferred bound is infinite, which
-        _load_basis rejects."""
+        dual feasible; solve_lp makes sure those bounds are finite."""
         vstat = np.full(self.ncols, 2, dtype=np.int8)
         vstat[: self.nv] = self.c_min < 0
         return vstat
@@ -762,75 +679,29 @@ class _Simplex:
         """Returns (status, x, y, vstat); vstat covers the structural and slack
         columns and is None unless optimal or infeasible by the dual simplex.
 
-        The start is the caller's basis where it fits, else the slack basis
-        where it is dual feasible, else the two-phase start; self.start
-        names it ("warm", "slack" or "two-phase")."""
+        The start is the caller's basis where it fits, else the slack basis;
+        self.start names it ("warm" or "slack")."""
         c = np.zeros(self.ncols)
         c[: self.nv] = self.c_min
         fixed = self.hi - self.lo <= 0.0
         if basis is not None and self._load_basis(basis, c, fixed):
             self.start = "warm"
-        elif self._load_basis(self._slack_basis(), c, fixed):
+        else:
             self.start = "slack"
-        else:
-            self.start = "two-phase"
-        if self.start != "two-phase":
-            status = self._dual(c, fixed, maxiter)
-            if status == "infeasible":
-                return "infeasible", None, None, self.vstat.copy()
-            if status == "optimal":
-                status = self._iterate_polished(c, fixed, maxiter)
-        else:
-            self._init_basis()
-            fixed = self.hi - self.lo <= 0.0
-            if self.n_art:
-                c1 = np.zeros(self.total)
-                c1[self.ncols :] = 1.0
-                status = self._iterate_polished(c1, fixed, maxiter)
-                if status in ("iteration_limit", "unbounded"):
-                    return "numerical", None, None, None
-                infeas = float(self.x[self.ncols :].sum())
-                if infeas > FEAS_TOL:
-                    return "infeasible", None, None, None
-                self.lo[self.ncols :] = 0.0
-                self.hi[self.ncols :] = 0.0
-                self.x[self.ncols :] = 0.0
-                fixed = self.hi - self.lo <= 0.0
-                self._drive_out_artificials(fixed)
-                c = np.concatenate([c, np.zeros(self.n_art)])
+            self._load_basis(self._slack_basis(), c, fixed)
+        status = self._dual(c, fixed, maxiter)
+        if status == "infeasible":
+            return "infeasible", None, None, self.vstat.copy()
+        if status == "optimal":
             status = self._iterate_polished(c, fixed, maxiter)
         if status == "iteration_limit":
             return "numerical", None, None, None
-        if status == "unbounded":
-            return "unbounded", None, None, None
         y = self._btran(c[self.basis])
-        vstat = self.vstat[: self.ncols].copy()
-        # an artificial left basic (at 0) on a redundant row spans the same
-        # column as that row's slack, which takes its place in the basis
-        art = self.basis[self.basis >= self.ncols]
-        vstat[self.nv + self.unit_row[art - self.nv]] = 2
-        return "optimal", self.x[: self.nv].copy(), y, vstat
+        return "optimal", self.x[: self.nv].copy(), y, self.vstat.copy()
 
 
 class _NumericalTrouble(RuntimeError):
     pass
-
-
-def _solve_trivial(comp, lo, hi, c_min):
-    """No constraint rows: optimize each variable against its own bounds."""
-    x = np.zeros(len(c_min))
-    for j, cj in enumerate(c_min):
-        if cj > 0:
-            if not np.isfinite(lo[j]):
-                return "unbounded", None
-            x[j] = lo[j]
-        elif cj < 0:
-            if not np.isfinite(hi[j]):
-                return "unbounded", None
-            x[j] = hi[j]
-        else:
-            x[j] = lo[j] if np.isfinite(lo[j]) else (hi[j] if np.isfinite(hi[j]) else 0.0)
-    return "optimal", x
 
 
 def solve_lp(problem, lower=None, upper=None, basis=None) -> LPSolution:
@@ -840,6 +711,9 @@ def solve_lp(problem, lower=None, upper=None, basis=None) -> LPSolution:
     branch-and-bound to rebound binaries without rebuilding the program).
     basis is an earlier LPSolution.basis of a program with the same rows and
     columns; where it fits, the solve starts there with the dual simplex.
+    Under the bounds of the call, every column must have a finite bound on
+    the side its cost prefers (see the module docstring); a ValueError
+    names the first column that has none.
     """
     comp = problem.compile() if isinstance(problem, LinearProgram) else problem
     lo = comp.lo.copy() if lower is None else np.asarray(lower, dtype=float).copy()
@@ -847,16 +721,19 @@ def solve_lp(problem, lower=None, upper=None, basis=None) -> LPSolution:
     nv = len(comp.var_names)
     nr = len(comp.row_names)
 
+    c_user = comp.c
+    c_min = -c_user if comp.maximize else c_user.copy()
+    preferred = np.where(c_min < 0, hi, lo)
+    unboxed = np.nonzero(~np.isfinite(preferred))[0]
+    if len(unboxed):
+        name = comp.var_names[unboxed[0]]
+        raise ValueError(f"column {name!r} has no finite bound on the side its cost prefers")
+
     if np.any(lo > hi):
         return LPSolution("infeasible", None, {}, {}, {}, 0, "empty variable box")
 
-    c_user = comp.c
-    c_min = -c_user if comp.maximize else c_user.copy()
-
     if nr == 0:
-        status, x = _solve_trivial(comp, lo, hi, c_min)
-        if status != "optimal":
-            return LPSolution(status, None, {}, {}, {}, 0)
+        x = preferred
         obj = float(c_user @ x) + comp.constant
         values = {n: float(x[j]) for j, n in enumerate(comp.var_names)}
         rc = c_user.copy()

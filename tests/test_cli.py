@@ -258,6 +258,15 @@ class TestUsage:
     def test_bad_graph_path(self):
         assert run("label /does/not/exist.tg") == 1
 
+    @pytest.mark.parametrize("cmd", ["fit {bad}", "label {bad}", "verify {graph} {bad}"])
+    def test_undecodable_file_is_one_line_error(self, cmd, graph_file, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe not text\n")
+        capsys.readouterr()
+        assert run(cmd.format(bad=bad, graph=graph_file)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize(
         "cmd, config",
         [
@@ -270,6 +279,12 @@ class TestUsage:
             ("generate --count -1 --out {tmp}", None),
             ("generate --comm-min-ms nan --out {tmp}", None),
             ("fit {tmp}/missing.txt", None),
+            # the points file is written to {cfg}
+            ("fit {cfg}", "1.01 430.9\n1.26 abc\n1.53 710.7\n"),
+            ("fit {cfg}", "1.01 430.9\n1.26 nan\n1.53 710.7\n"),
+            ("fit {cfg}", "1.01 430.9\n1.26 556.8\n"),
+            ("fit {cfg}", ""),
+            ("fit {cfg} --delta nan", "1.01 430.9\n1.26 556.8\n1.53 710.7\n"),
             ("milp {tiny} --eps-ratio 0.9 --time-limit -1", None),
             ("milp {tiny} --eps-ratio 0.9 --time-limit nan", None),
             ("schedule {graph} --config {cfg}", "[platform]\nprocs = 0\n"),

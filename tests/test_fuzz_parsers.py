@@ -1,15 +1,19 @@
 """Any text handed to the two file parsers either parses or raises
-GraphFormatError; nothing else may escape to the command line.
+GraphFormatError; nothing else may escape to the command line. Any points
+file handed to `impsched fit` is fitted or ends in a one-line error.
 
 Each document is a valid file with a few tokens or lines replaced, so most
 cases get past the header and reach the semantic checks."""
 
+import io
 import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from impsched.cli import format_schedule, parse_schedule
+from impsched.cli import format_schedule, main, parse_schedule
 from impsched.sweep import default_platform, run_proposed
 from impsched.taskgraph import (
     GeneratorParams,
@@ -94,3 +98,27 @@ class TestParsersOnlyRaiseFormatErrors:
             numbers.extend(part.values())
         assert all(math.isfinite(v) for v in numbers)
         assert all(0 <= k < procs for k in asg.proc_of.values())
+
+
+MAGNITUDES = st.one_of(VALUES, st.sampled_from(["1e-300", "1e-60", "1e60", "1e300"]))
+
+
+class TestPointsFile:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(max_size=200),
+        st.lists(st.tuples(MAGNITUDES, MAGNITUDES), max_size=6).map(
+            lambda rows: "".join(f"{f} {p}\n" for f, p in rows)
+        ),
+    ))
+    def test_fit_exits_0_or_with_one_error_line(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fit") / "points.txt"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        # a warning would print a line of its own beside the error
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["fit", str(path)])
+        if code != 0:
+            assert code == 1 and err.getvalue().startswith("error: "), err.getvalue()
+            assert err.getvalue().count("\n") == 1, err.getvalue()

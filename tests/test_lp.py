@@ -1,11 +1,13 @@
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from impsched import sweep
+from impsched.milp import build_milp
 from impsched.lp import (
     EQ,
     FEAS_TOL,
@@ -21,7 +23,12 @@ from impsched.lp import (
     solve_lp,
     write_lp_file,
 )
-from impsched.taskgraph import GeneratorParams, generate_random_graph
+from impsched.taskgraph import (
+    MANDATORY_REGIMES,
+    GeneratorParams,
+    generate_random_graph,
+    normalize_source,
+)
 from oracles import dual_certificate_ok, scaling_dense
 
 
@@ -101,7 +108,7 @@ def scipy_reference(lp):
 class TestBasics:
     def test_simple_max(self):
         lp = LinearProgram()
-        lp.add_var("x")
+        lp.add_var("x", 0.0, 10.0)
         lp.add_row("cap", {"x": 1.0}, LE, 3.0)
         lp.set_objective("max", {"x": 1.0})
         sol = solve_lp(lp)
@@ -110,8 +117,8 @@ class TestBasics:
 
     def test_degenerate_optimum_set(self):
         lp = LinearProgram()
-        lp.add_var("x")
-        lp.add_var("y")
+        lp.add_var("x", 0.0, 10.0)
+        lp.add_var("y", 0.0, 10.0)
         lp.add_row("cap", {"x": 1.0, "y": 1.0}, LE, 1.0)
         lp.set_objective("max", {"x": 1.0, "y": 1.0})
         sol = solve_lp(lp)
@@ -119,17 +126,19 @@ class TestBasics:
 
     def test_infeasible(self):
         lp = LinearProgram()
-        lp.add_var("x")
+        lp.add_var("x", 0.0, 10.0)
         lp.add_row("a", {"x": 1.0}, GE, 2.0)
         lp.add_row("b", {"x": 1.0}, LE, 1.0)
         lp.set_objective("max", {"x": 1.0})
         assert solve_lp(lp).status == "infeasible"
 
     def test_unbounded(self):
+        # no rows: x has no upper bound and the objective raises it
         lp = LinearProgram()
         lp.add_var("x")
         lp.set_objective("max", {"x": 1.0})
-        assert solve_lp(lp).status == "unbounded"
+        with pytest.raises(ValueError, match="'x'"):
+            solve_lp(lp)
 
     def test_objective_constant(self):
         lp = LinearProgram()
@@ -315,13 +324,13 @@ def equilibrated(comp):
 
 def explicit_basis(core):
     """The basis matrix, column by column: a structural column of core.A, or
-    the signed unit column a slack or an artificial stands for."""
+    the identity column of a slack's row."""
     B = np.zeros((core.nr, core.nr))
     for pos, j in enumerate(core.basis):
         if j < core.nv:
             B[:, pos] = core.A[:, j]
         else:
-            B[core.unit_row[j - core.nv], pos] = core.unit_sign[j - core.nv]
+            B[j - core.nv, pos] = 1.0
     return B
 
 
@@ -338,13 +347,11 @@ def assert_inverse_matches(core):
 
 
 def redundant_row_lp():
-    """z is fixed at 0, so row b's artificial ties with row a's when x enters
-    and ends phase 1 basic at zero; row c repeats row a. y, which the
-    objective raises, has no upper bound, so the slack basis is not dual
-    feasible and the solve takes the two-phase start."""
+    """Three '==' rows of rank two: row c repeats row a. z is fixed at 0, so
+    row b pins x = 2 and the optimum is y = 0."""
     lp = LinearProgram()
     lp.add_var("x", 0, 10)
-    lp.add_var("y", 0, INF)
+    lp.add_var("y", 0, 10)
     lp.add_var("z", 0, 0)
     lp.add_row("a", {"x": 1.0, "y": 1.0}, EQ, 2.0)
     lp.add_row("b", {"x": 1.0, "z": 1.0}, EQ, 2.0)
@@ -372,24 +379,6 @@ class TestEtaFile:
         assert core.refactors >= 1 and 0 < core.n_eta < _Simplex.REFACTOR_EVERY
         assert_inverse_matches(core)
 
-    def test_drive_out_with_redundant_equality_row(self, monkeypatch):
-        seen = []
-        drive_out = _Simplex._drive_out_artificials
-
-        def recording(self, fixed):
-            before = int((self.basis >= self.ncols).sum()), self.n_eta
-            drive_out(self, fixed)
-            after = int((self.basis >= self.ncols).sum()), self.n_eta
-            seen.append((before[0], after[0], after[1] - before[1]))
-            assert_inverse_matches(self)
-
-        monkeypatch.setattr(_Simplex, "_drive_out_artificials", recording)
-        sol = solve_lp(redundant_row_lp())
-        assert sol.optimal and sol.objective == pytest.approx(0.0, abs=1e-12)
-        assert sol.values["x"] == pytest.approx(2.0)
-        # one pivot takes one artificial out, the redundant row's stays basic
-        assert seen == [(2, 1, 1)]
-
 
 class TestSolutionCounters:
     def test_refactors_and_violation_reported(self, monkeypatch):
@@ -406,7 +395,7 @@ class TestSolutionCounters:
         sol = solve_lp(comp)
         assert sol.optimal
         assert sol.refactors == cores[0].refactors
-        # whether or not phase 2 refactored, it ends on an inverse that fits
+        # whether or not the polish refactored, it ends on an inverse that fits
         assert_inverse_matches(cores[0])
         x = np.array([sol.values[n] for n in comp.var_names])
         assert sol.violation == max_violation(comp, x)
@@ -568,11 +557,12 @@ class TestWarmStart:
         assert got.iterations == cold.iterations
 
     def test_basis_of_a_redundant_row_is_used(self, monkeypatch):
-        # the redundant row's artificial stays basic after phase 1; the
-        # basis handed back puts that row's slack in its place
+        # the dual simplex leaves a slack basic on the dependent rows, so the
+        # basis handed back has one basic per row and fits a later solve
         comp = redundant_row_lp().compile()
         cold = solve_lp(comp)
-        assert cold.optimal
+        assert cold.optimal and cold.objective == pytest.approx(0.0, abs=1e-12)
+        assert cold.values["x"] == pytest.approx(2.0)
         assert int((cold.basis == 2).sum()) == len(comp.row_names)
         accepted = []
         load = _Simplex._load_basis
@@ -595,9 +585,8 @@ class TestWarmStart:
 
 
 def kernel_core():
-    """A core on four rows whose start basis holds three slacks and, on the
-    '==' row 3 that x = 0 leaves above its right-hand side, an artificial of
-    sign -1. Columns 0 and 4 are equal."""
+    """A core on four rows (senses <=, >=, <=, ==) loaded with its slack
+    basis. Columns 0 and 4 are equal; column 2 is zero on rows 0 and 3."""
     A = np.array(
         [
             [1.0, 2.0, 0.0, 1.0, 1.0],
@@ -608,21 +597,21 @@ def kernel_core():
     )
     b = np.array([5.0, -1.0, 3.0, -2.0])
     core = _Simplex(A, b, (LE, GE, LE, EQ), np.ones(5), np.zeros(5), np.full(5, 10.0))
-    core._init_basis()
-    assert core.n_art == 1 and core.unit_sign[-1] == -1.0
+    cost = np.concatenate([core.c_min, np.zeros(4)])
+    assert core._load_basis(core._slack_basis(), cost, core.hi - core.lo <= 0.0)
     return core
 
 
 class TestKernelRefactor:
-    NV, ART = 5, 9  # first slack column, the artificial's column
+    NV = 5  # first slack column
 
     @pytest.mark.parametrize(
         "case, basis",
         [
             ("structural", [0, 1, 2, 3]),
-            ("unit", [NV + 2, ART, NV + 0, NV + 1]),
-            # structural columns 1 and 4 on rows 1 and 2, the artificial on row 3
-            ("mixed", [1, ART, NV + 0, 4]),
+            ("unit", [NV + 2, NV + 3, NV + 0, NV + 1]),
+            # structural columns 1 and 4 on rows 1 and 2, slacks on rows 3 and 0
+            ("mixed", [1, NV + 3, NV + 0, 4]),
         ],
     )
     def test_inverse_matches_explicit_basis(self, case, basis):
@@ -638,7 +627,8 @@ class TestKernelRefactor:
         "basis",
         [
             [0, 4, NV + 0, NV + 1],  # equal columns: the kernel is singular
-            [1, 2, NV + 3, ART],  # a slack and the artificial on one row
+            # column 2 lies in the span of the basic slacks of rows 1 and 2
+            [0, 2, NV + 1, NV + 2],
         ],
     )
     def test_singular_basis_raises(self, basis):
@@ -659,29 +649,56 @@ class TestKernelRefactor:
 
 def unboxed_lp(case):
     """max x + y over two rows, x boxed; y is free, or has no upper bound
-    although the objective raises it."""
+    although the objective raises it, or is boxed (upper_override, where the
+    solve lifts its upper bound)."""
     lp = LinearProgram()
     lp.add_var("x", 0.0, 4.0)
-    lp.add_var("y", -INF if case == "free" else 0.0, INF)
+    lp.add_var("y", -INF if case == "free" else 0.0, 4.0 if case == "upper_override" else INF)
     lp.add_row("a", {"x": 1.0, "y": 1.0}, LE, 5.0)
     lp.add_row("b", {"x": -1.0, "y": 2.0}, GE, -1.0 if case == "free" else 1.0)
     lp.set_objective("max", {"x": 1.0, "y": 1.0 if case == "no_upper" else 0.5})
     return lp
 
 
-class TestColdStart:
-    """A cold solve starts from the slack basis with the dual simplex when
-    every structural column can sit on the bound its cost prefers, and
-    falls back to the two-phase start when that bound is infinite."""
+def unboxed_columns(lp):
+    """The columns of a LinearProgram with no finite bound on the side its
+    cost prefers: the ones solve_lp rejects."""
+    sign = -1.0 if lp.maximize else 1.0
+    return [
+        v
+        for j, v in enumerate(lp.var_names)
+        if not math.isfinite(lp._hi[j] if sign * lp._obj.get(v, 0.0) < 0 else lp._lo[j])
+    ]
 
-    @pytest.mark.parametrize("case", ["free", "no_upper"])
-    def test_unboxed_column_takes_two_phase(self, case):
-        lp = unboxed_lp(case)
-        sol = solve_lp(lp)
-        assert sol.start == "two-phase"
-        status, ref = scipy_reference(lp)
-        assert sol.status == status == "optimal"
-        assert sol.objective == pytest.approx(ref, rel=1e-9)
+
+class TestColdStart:
+    """A cold solve starts from the slack basis with the dual simplex; a
+    column with no finite bound on the side its cost prefers is rejected."""
+
+    @pytest.mark.parametrize("case", ["free", "no_upper", "upper_override"])
+    def test_unboxed_column_is_rejected(self, case):
+        comp = unboxed_lp(case).compile()
+        upper = None
+        if case == "upper_override":
+            assert solve_lp(comp).optimal
+            upper = np.array([4.0, INF])
+        with pytest.raises(ValueError, match="column 'y' has no finite bound"):
+            solve_lp(comp, upper=upper)
+
+    @pytest.mark.parametrize("n", [10, 44])
+    @pytest.mark.parametrize("regime", sorted(MANDATORY_REGIMES))
+    def test_pipeline_programs_are_boxed(self, regime, n):
+        # every program a CLI command solves: the three sweep.MethodModel
+        # programs and the MILP, whose nodes only narrow its bounds
+        g = generate_random_graph(GeneratorParams(n_tasks=n, mandatory_regime=regime, seed=n))
+        platform = sweep.default_platform()
+        for method, eps in (("minimum-energy", None), ("proposed", 1.0), ("baseline", 1.0)):
+            model = sweep.MethodModel()
+            sweep._fill(model, method, g, platform, eps)
+            assert unboxed_columns(model.lp) == [], method
+        gn = normalize_source(g)
+        milp = build_milp(gn, platform.procs, platform.freqs, platform.power, 1.0, gn.deadline)
+        assert unboxed_columns(milp.lp) == []
 
     def test_boxed_random_lps_take_slack(self):
         rng = np.random.default_rng(19)
@@ -732,7 +749,7 @@ class TestPolish:
             seen.append((self.refactors, self.n_eta))
             if perturb:
                 # on the basic with the largest cost, so that BTRAN carries it into y
-                cost = np.concatenate([self.c_min, np.zeros(self.total - self.nv)])
+                cost = np.concatenate([self.c_min, np.zeros(self.ncols - self.nv)])
                 self.eta_p[0, int(np.argmax(np.abs(cost[self.basis])))] += 1e-6
             return status
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from impsched.sweep import run_milp, run_proposed, epsilon_star, PlatformConfig
 from impsched.taskgraph import GeneratorParams, generate_random_graph, normalize_source
 from impsched.verify import WorkloadContract, verify_schedule
 from oracles import exhaustive_best_qos, tighten_loop
+from test_lp import highs_objective
 
 PM = PowerModel(1e-27, 3.0, 0.0, 0.0)
 FS2 = FrequencySet((1e9, 2e9))
@@ -223,8 +226,8 @@ class TestBranchAndBound:
 
 class TestNodeWarmStarts:
     def test_every_node_starts_from_its_parents_basis(self, monkeypatch):
-        # criterion 5's instance n = 5, K = 1, seed 510: the cold root LP
-        # leaves an artificial basic on a dependent flow row
+        # criterion 5's instance n = 5, K = 1, seed 510, whose per-processor
+        # flow rows are dependent
         fs = FrequencySet((DEFAULT_FREQUENCY_SET.freqs[0], DEFAULT_FREQUENCY_SET.freqs[4]))
         platform = PlatformConfig(DEFAULT_POWER_MODEL, fs, 1)
         g = generate_random_graph(
@@ -255,6 +258,49 @@ class TestNodeWarmStarts:
         assert res.status == "optimal"
         assert len(accepted) > 100 and all(accepted)
         assert res.lp_iterations == sum(iterations)
+
+
+class _Recorded(Exception):
+    """Stops a branch-and-bound once enough node LPs are recorded."""
+
+
+class TestNodeLPsAgainstHighs:
+    NODES = 40
+
+    @pytest.mark.parametrize(
+        "regime, n", [("man_high", 8), ("man_high", 10), ("man_low", 6), ("man_mixed", 6)]
+    )
+    def test_first_node_lps_match_highs(self, regime, n, monkeypatch):
+        # unseeded B&B, K = 2, 0.85 eps*: each node LP under its binary bounds;
+        # 125 LPs over the four instances, from slack and warm starts
+        fs = FrequencySet((DEFAULT_FREQUENCY_SET.freqs[0], DEFAULT_FREQUENCY_SET.freqs[4]))
+        platform = PlatformConfig(DEFAULT_POWER_MODEL, fs, 2)
+        g = generate_random_graph(
+            GeneratorParams(n_tasks=n, mandatory_regime=regime, seed=31), f_max=fs.f_max
+        )
+        gn = normalize_source(g)
+        eps = 0.85 * epsilon_star(g, platform)[0]
+        model = build_milp(gn, 2, fs, DEFAULT_POWER_MODEL, eps, gn.deadline)
+        calls = []
+
+        def recording(comp, lower, upper, basis):
+            sol = solve_lp(comp, lower=lower, upper=upper, basis=basis)
+            calls.append((dataclasses.replace(comp, lo=lower.copy(), hi=upper.copy()), sol))
+            if len(calls) == self.NODES:
+                raise _Recorded
+            return sol
+
+        monkeypatch.setattr(milp, "solve_lp", recording)
+        try:
+            solve_branch_and_bound(model, time_limit=240.0)
+        except _Recorded:
+            pass
+        assert {sol.start for _, sol in calls} == {"warm", "slack"}
+        for node, sol in calls:
+            status, ref = highs_objective(node)
+            assert sol.status == status
+            if status == "optimal":
+                assert sol.objective == pytest.approx(ref, rel=1e-7)
 
 
 class TestTighten:
