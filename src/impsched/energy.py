@@ -123,7 +123,8 @@ def fit_power_model(points, delta: float) -> FitResult:
     frequencies; delta is measured separately and passed through.
 
     Gauss-Newton with a damped step; beta is initialized from the slope of
-    log dynamic power versus log frequency.
+    log dynamic power versus log frequency. A fit whose rms residual exceeds
+    10% of the rms of the powers raises ValueError.
     """
     pts = [(float(f), float(p)) for f, p in points]
     if len(pts) < 3:
@@ -188,8 +189,14 @@ def fit_power_model(points, delta: float) -> FitResult:
         alpha_si = alpha * p_ref / f_ref ** beta
     gamma_si = max(gamma, 0.0) * p_ref / f_ref
     model = PowerModel(alpha_si, beta, gamma_si, delta)
-    rms = math.sqrt(float(np.mean(residual(alpha, beta, gamma) ** 2))) * p_ref
-    return FitResult(model, rms)
+    rms_n = math.sqrt(float(np.mean(residual(alpha, beta, gamma) ** 2)))
+    # the reference points fit to 0.08%: a tenth of the data is far off
+    share = rms_n / math.sqrt(float(np.mean(pn**2)))
+    if share > 0.1:
+        raise ValueError(
+            f"power-model fit failed: the rms residual is {share:.0%} of the powers' rms"
+        )
+    return FitResult(model, rms_n * p_ref)
 
 
 # Fitted constants and frequency levels of the simulated 70nm platform.

@@ -32,9 +32,11 @@ is bounded, and a solve starts from the first of these that fits
          is always dual feasible.
 From either a bounded dual simplex, with reduced costs updated in place
 between refactorizations, restores primal feasibility or proves that none
-exists, and the primal simplex (Dantzig pricing with a Bland fallback for
-anti-cycling) polishes the result. LPSolution.start records which start a
-solve took.
+exists. It keeps the basis dual feasible, so it ends every solve: a primal
+feasible basis is optimal. A final check re-prices the nonbasic columns
+from the final basis and turns a reduced cost of the wrong sign (drift of
+the in-place updates) into the status "numerical". LPSolution.start
+records which start a solve took.
 
 Dual conventions (reduced cost rc = c - A^T y):
   min: '<=' rows carry y <= 0, '>=' rows y >= 0; x at lower bound -> rc >= 0,
@@ -348,11 +350,11 @@ class _Simplex:
     the end of a solve refactors only when the basis fails _residuals_ok.
 
     solve() loads a caller's basis through _load_basis where it fits, else
-    the slack basis, and runs the dual simplex (_dual) from it.
+    adopts the slack basis (_adopt), runs the dual simplex (_dual) from it
+    and checks the signs of the final reduced costs (_dual_infeasible).
     """
 
     PIV_TOL = 1e-9
-    RATIO_TOL = 1e-9
     PRIMAL_TOL = 1e-9  # the dual simplex takes basics this far past a bound as feasible
     REFACTOR_EVERY = 128
     # Relative to the largest |b|, |x| (primal) or |c| (dual). It bounds the
@@ -462,100 +464,34 @@ class _Simplex:
         if self.n_eta == self.REFACTOR_EVERY:
             self._refactor()
 
-    def _iterate(self, c, fixed, maxiter):
-        tol_d = _dual_tol(c)
-        bland = False
-        degen = 0
-        while True:
-            if self.iterations >= maxiter:
-                return "iteration_limit"
-            self.iterations += 1
-            y = self._btran(c[self.basis])
-            d = c - self._prices(y)
-            can = ~self.in_basis & ~fixed
-            up = can & (d < -tol_d) & (self.vstat == 0)
-            down = can & (d > tol_d) & (self.vstat == 1)
-            viol = np.where(up, -d, 0.0) + np.where(down, d, 0.0)
-            if not np.any(viol > 0.0):
-                return "optimal"
-            if bland:
-                q = int(np.nonzero(viol > 0.0)[0][0])
-            else:
-                q = int(np.argmax(viol))
-            sigma = 1.0 if up[q] else -1.0
-
-            w = self._ftran(self._column(q))
-            delta = sigma * w
-            xB = self.x[self.basis]
-            loB = self.lo[self.basis]
-            hiB = self.hi[self.basis]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_lo = np.where(delta > self.PIV_TOL, (xB - loB) / delta, INF)
-                t_hi = np.where(delta < -self.PIV_TOL, (hiB - xB) / (-delta), INF)
-            t_arr = np.maximum(np.minimum(t_lo, t_hi), 0.0)
-            t_basic = float(t_arr.min())
-            t_range = self.hi[q] - self.lo[q]
-            if not np.isfinite(min(t_basic, t_range)):
-                # a program boxed on the side of its costs has no such ray
-                raise _NumericalTrouble("no bound stops the entering column")
-
-            if t_range <= t_basic + self.RATIO_TOL:
-                # entering variable flips to its opposite bound, basis unchanged
-                self.x[self.basis] = xB - t_range * delta
-                self.x[q] += sigma * t_range
-                self.vstat[q] = 1 - self.vstat[q]
-                step = t_range
-            else:
-                cand = np.nonzero(t_arr <= t_basic + self.RATIO_TOL)[0]
-                if bland:
-                    rsel = int(cand[np.argmin(self.basis[cand])])
-                else:
-                    rsel = int(cand[np.argmax(np.abs(delta[cand]))])
-                if abs(w[rsel]) < 1e-11:
-                    self._refactor()
-                    continue
-                t = float(t_arr[rsel])
-                self.x[self.basis] = xB - t * delta
-                self.x[q] += sigma * t
-                leaving = int(self.basis[rsel])
-                if delta[rsel] > 0:
-                    self.x[leaving] = self.lo[leaving]
-                    self.vstat[leaving] = 0
-                else:
-                    self.x[leaving] = self.hi[leaving]
-                    self.vstat[leaving] = 1
-                self._pivot(rsel, q, w)
-                step = t
-
-            if step < 1e-12:
-                degen += 1
-                if degen > 60:
-                    bland = True
-            else:
-                degen = 0
-                bland = False
-
-    def _iterate_polished(self, c, fixed, maxiter):
-        """Run to optimality; refactor and re-price only while the product-form
-        inverse fails the residual check (_residuals_ok). An inverse with no
-        eta updates is a fresh factorization and needs no check."""
-        for _ in range(8):
-            status = self._iterate(c, fixed, maxiter)
-            if status != "optimal" or self.n_eta == 0 or self._residuals_ok(c):
-                return status
-            self._refactor()
-        raise _NumericalTrouble("optimality did not stabilize under refactorization")
-
-    def _residuals_ok(self, c):
+    def _residuals_ok(self, c, y):
         """Whether the eta-updated basis still solves its own equations: the
         primal residual of B x_B = b - N x_N and the dual residual of
-        y B = c_B, with y from BTRAN, each small against its data."""
+        y B = c_B, for y = c_B B^-1 from BTRAN, each small against its data."""
         x_scale = 1.0 + float(np.abs(self.b).max()) + float(np.abs(self.x).max())
         primal = np.abs(self.b - self._times(self.x)).max()
-        y = self._btran(c[self.basis])
         dual = np.abs(self._prices(y)[self.basis] - c[self.basis]).max(initial=0.0)
         c_scale = float(np.abs(c).max(initial=0.0)) or 1.0
         return primal <= self.RESID_TOL * x_scale and dual <= self.RESID_TOL * c_scale
+
+    def _dual_infeasible(self, y, c, fixed) -> bool:
+        """Whether, for y = c_B B^-1, a nonbasic column that may move prices
+        in: a reduced cost below -tol at its lower bound or above tol at its
+        upper."""
+        d = c - self._prices(y)
+        tol_d = _dual_tol(c)
+        wrong = np.where(self.vstat == 0, d < -tol_d, d > tol_d)
+        return bool(np.any(wrong & ~self.in_basis & ~fixed))
+
+    def _adopt(self, vstat):
+        """Make vstat (of the structural and slack columns, 2 for basic) the
+        basis, every nonbasic at the bound it names, and refactor."""
+        self.vstat = vstat.astype(np.int8)
+        basic = vstat == 2
+        self.basis = np.nonzero(basic)[0]
+        self.in_basis = basic.copy()
+        self.x = np.where(vstat == 1, self.hi, np.where(vstat == 0, self.lo, 0.0))
+        self._refactor()
 
     def _load_basis(self, vstat, c, fixed) -> bool:
         """Adopt a caller's basis: the vstat of the structural and slack columns.
@@ -577,23 +513,15 @@ class _Simplex:
             or np.any(at_hi & ~np.isfinite(self.hi))
         ):
             return False
-        self.vstat = vstat.astype(np.int8)
-        self.basis = np.nonzero(basic)[0]
-        self.in_basis = basic.copy()
-        self.x = np.where(at_hi, self.hi, np.where(at_lo, self.lo, 0.0))
         try:
-            self._refactor()
+            self._adopt(vstat)
         except _NumericalTrouble:
             return False
         # inv() accepts a numerically singular basis; B0^-1 (B 1) must give 1 back
         ones = self.B0_inv @ self._times(basic.astype(float))
         if not np.all(np.abs(ones - 1.0) <= 1e-6):
             return False
-        d = c - self._prices(self._btran(c[self.basis]))
-        tol_d = _dual_tol(c)
-        return not np.any(
-            ~basic & ~fixed & ((at_lo & (d < -tol_d)) | (at_hi & (d > tol_d)))
-        )
+        return not self._dual_infeasible(self._btran(c[self.basis]), c, fixed)
 
     def _dual(self, c, fixed, maxiter):
         """Bounded dual simplex from a dual feasible basis.
@@ -680,7 +608,11 @@ class _Simplex:
         columns and is None unless optimal or infeasible by the dual simplex.
 
         The start is the caller's basis where it fits, else the slack basis;
-        self.start names it ("warm" or "slack")."""
+        self.start names it ("warm" or "slack"). An optimal end refactors and
+        re-enters the dual simplex while the eta file fails _residuals_ok (an
+        inverse with no eta updates is a fresh factorization and needs no
+        check); a final basis whose reduced costs are not dual feasible
+        raises _NumericalTrouble."""
         c = np.zeros(self.ncols)
         c[: self.nv] = self.c_min
         fixed = self.hi - self.lo <= 0.0
@@ -688,15 +620,21 @@ class _Simplex:
             self.start = "warm"
         else:
             self.start = "slack"
-            self._load_basis(self._slack_basis(), c, fixed)
-        status = self._dual(c, fixed, maxiter)
-        if status == "infeasible":
-            return "infeasible", None, None, self.vstat.copy()
-        if status == "optimal":
-            status = self._iterate_polished(c, fixed, maxiter)
-        if status == "iteration_limit":
-            return "numerical", None, None, None
-        y = self._btran(c[self.basis])
+            self._adopt(self._slack_basis())
+        for _ in range(8):
+            status = self._dual(c, fixed, maxiter)
+            if status == "infeasible":
+                return "infeasible", None, None, self.vstat.copy()
+            if status == "iteration_limit":
+                return "numerical", None, None, None
+            y = self._btran(c[self.basis])
+            if self.n_eta == 0 or self._residuals_ok(c, y):
+                break
+            self._refactor()
+        else:
+            raise _NumericalTrouble("optimality did not stabilize under refactorization")
+        if self._dual_infeasible(y, c, fixed):
+            raise _NumericalTrouble("a reduced cost of the final basis has the wrong sign")
         return "optimal", self.x[: self.nv].copy(), y, self.vstat.copy()
 
 

@@ -283,6 +283,7 @@ class TestUsage:
             ("fit {cfg}", "1.01 430.9\n1.26 abc\n1.53 710.7\n"),
             ("fit {cfg}", "1.01 430.9\n1.26 nan\n1.53 710.7\n"),
             ("fit {cfg}", "1.01 430.9\n1.26 556.8\n"),
+            ("fit {cfg}", "1e60 100\n2.0 200\n3.0 300\n"),
             ("fit {cfg}", ""),
             ("fit {cfg} --delta nan", "1.01 430.9\n1.26 556.8\n1.53 710.7\n"),
             ("milp {tiny} --eps-ratio 0.9 --time-limit -1", None),

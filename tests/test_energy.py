@@ -127,6 +127,12 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_power_model([(1e9, 0.4), (1e9, 0.5), (1e9, 0.6)], delta=0.0)
 
+    def test_fit_far_from_the_data_rejected(self):
+        # one frequency 60 decades off: the best fit misses by 96% of the data
+        points = [(1e69, 0.1), (2e9, 0.2), (3e9, 0.3)]
+        with pytest.raises(ValueError, match="fit failed"):
+            fit_power_model(points, delta=0.0)
+
 
 class TestModelValidation:
     def test_invariants(self):

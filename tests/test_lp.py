@@ -395,7 +395,8 @@ class TestSolutionCounters:
         sol = solve_lp(comp)
         assert sol.optimal
         assert sol.refactors == cores[0].refactors
-        # whether or not the polish refactored, it ends on an inverse that fits
+        # whether or not the end of the solve refactored, it ends on an
+        # inverse that fits
         assert_inverse_matches(cores[0])
         x = np.array([sol.values[n] for n in comp.var_names])
         assert sol.violation == max_violation(comp, x)
@@ -581,7 +582,8 @@ class TestWarmStart:
         cold = solve_lp(comp)
         again = solve_lp(comp, basis=cold.basis)
         assert again.objective == pytest.approx(cold.objective, rel=1e-12)
-        assert again.iterations < cold.iterations
+        # an optimal basis is primal feasible: the dual simplex makes no pivot
+        assert again.iterations == 0 < cold.iterations
 
 
 def kernel_core():
@@ -729,9 +731,10 @@ class TestColdStart:
             assert np.abs(core.d - d).max() <= 1e-9 * np.abs(cost).max()
 
 
-class TestPolish:
-    """A warm solve refactors in _load_basis; the polish after the dual
-    simplex refactors again only when the eta file fails its residual check."""
+class TestFinalCheck:
+    """A warm solve refactors in _load_basis. After the dual simplex the solve
+    refactors again only when the eta file fails its residual check, then
+    checks the signs of the final reduced costs."""
 
     def warm_solve(self, monkeypatch, perturb):
         qos = scheduling_lps(10)[1]
@@ -757,8 +760,11 @@ class TestPolish:
         warm = solve_lp(comp, basis=start.basis)
         assert warm.start == "warm"
         assert warm.optimal and warm.objective == pytest.approx(cold.objective, rel=1e-9)
-        # one load refactor, then a few dual pivots in the eta file
-        assert len(seen) == 1 and seen[0][0] == 1 and 0 < seen[0][1] < 10
+        # one load refactor, then a few dual pivots in the eta file; a failed
+        # residual check refactors and re-enters the dual simplex, which
+        # finds the basis primal feasible
+        assert seen[0][0] == 1 and 0 < seen[0][1] < 10
+        assert seen[1:] == ([(2, 0)] if perturb else [])
         return warm
 
     def test_clean_pivots_keep_the_load_factorization(self, monkeypatch):
@@ -766,6 +772,19 @@ class TestPolish:
 
     def test_failed_residual_check_refactors(self, monkeypatch):
         assert self.warm_solve(monkeypatch, perturb=True).refactors == 2
+
+    def test_wrong_reduced_cost_sign_is_numerical(self, monkeypatch):
+        # primal feasible, but x and y price in at their lower bounds:
+        # _load_basis rejects it, so a load that skips that test stands in
+        # for reduced costs that drifted during the dual simplex
+        def accept(self, vstat, c, fixed):
+            self._adopt(np.asarray(vstat))
+            return True
+
+        monkeypatch.setattr(_Simplex, "_load_basis", accept)
+        sol = solve_lp(two_var_lp(), basis=np.array([0, 0, 2, 0, 2]))
+        assert sol.start == "warm"
+        assert sol.status == "numerical" and "wrong sign" in sol.message
 
 
 def max_violation_loop(comp, x):
