@@ -24,9 +24,11 @@ prefers (the upper bound when the cost, in min sense, is negative, else the
 lower); the scheduling and MILP programs are boxed that way. Such a program
 is bounded, and a solve starts from the first of these that fits
 (_Simplex.solve):
-  warm   the basis of an earlier solve of the same program
-         (LPSolution.basis), after a change of the right-hand side or of
-         variable bounds;
+  warm   a basis the caller passes: an earlier solve's (LPSolution.basis)
+         of the same program after a change of the right-hand side or of
+         variable bounds, or a crash basis built from the program's own
+         rows and columns (schedlp.asap_basis); it fits when it is
+         nonsingular and dual feasible;
   slack  every slack basic and every structural column on its preferred
          bound: with y = 0 the reduced costs are the costs, so this basis
          is always dual feasible.
@@ -34,9 +36,9 @@ From either a bounded dual simplex, with reduced costs updated in place
 between refactorizations, restores primal feasibility or proves that none
 exists. It keeps the basis dual feasible, so it ends every solve: a primal
 feasible basis is optimal. A final check re-prices the nonbasic columns
-from the final basis and turns a reduced cost of the wrong sign (drift of
-the in-place updates) into the status "numerical". LPSolution.start
-records which start a solve took.
+from the final basis; a reduced cost of the wrong sign refactors and
+re-checks, and one that a fresh factorization confirms is the status
+"numerical". LPSolution.start records which start a solve took.
 
 Dual conventions (reduced cost rc = c - A^T y):
   min: '<=' rows carry y <= 0, '>=' rows y >= 0; x at lower bound -> rc >= 0,
@@ -50,6 +52,7 @@ import dataclasses
 import math
 import weakref
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -146,6 +149,10 @@ class LinearProgram:
         self._obj = dict(coeffs)
         self.objective_constant = float(constant)
 
+    def rhs(self, row: str) -> float:
+        """The right-hand side of a row."""
+        return self._rows[self._row_index[row]][2]
+
     def with_rhs(self, row: str, rhs: float, compiled: "CompiledLP | None"):
         """A copy of this program with the right-hand side of one row replaced.
 
@@ -180,30 +187,34 @@ class LinearProgram:
             comp._scaled = _scaling(base)
             return comp
         nv, nr = self.n_vars, self.n_rows
+        index = self._var_index
+        coeffs, senses, rhs = zip(*self._rows) if nr else ((), (), ())
+        # every coefficient at once: its row, its column and its value
+        counts = np.fromiter(map(len, coeffs), np.intp, nr)
+        nnz = int(counts.sum())
+        rows = np.repeat(np.arange(nr), counts)
+        cols = np.fromiter(map(index.__getitem__, chain.from_iterable(coeffs)), np.intp, nnz)
+        vals = np.fromiter(chain.from_iterable(map(dict.values, coeffs)), float, nnz)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            name = self._row_names[rows[np.argmin(finite)]]
+            raise ValueError(f"non-finite coefficient in row {name!r}")
         A = np.zeros((nr, nv))
-        b = np.zeros(nr)
-        senses: list[str] = []
-        for i, (coeffs, sense, rhs) in enumerate(self._rows):
-            for v, a in coeffs.items():
-                if not math.isfinite(a):
-                    raise ValueError(f"non-finite coefficient in row {self._row_names[i]!r}")
-                A[i, self._var_index[v]] = a
-            b[i] = rhs
-            senses.append(sense)
+        A[rows, cols] = vals
         A.flags.writeable = False  # the solver caches what it derives from A
         c = np.zeros(nv)
         for v, a in self._obj.items():
-            c[self._var_index[v]] = a
+            c[index[v]] = a
         return CompiledLP(
             var_names=tuple(self._var_names),
-            var_index=dict(self._var_index),
+            var_index=dict(index),
             row_names=tuple(self._row_names),
             A=A,
-            b=b,
-            senses=tuple(senses),
+            b=np.array(rhs, dtype=float),
+            senses=senses,
             c=c,
-            lo=np.array(self._lo),
-            hi=np.array(self._hi),
+            lo=np.fromiter(self._lo, float, nv),
+            hi=np.fromiter(self._hi, float, nv),
             maximize=self.maximize,
             constant=self.objective_constant,
         )
@@ -244,8 +255,9 @@ class LPSolution:
     # 1 at upper, 2 basic), to warm-start a later solve of the same
     # program; set when optimal, or infeasible by the dual simplex
     basis: np.ndarray | None = None
-    # how the simplex started: "warm" (the caller's basis) or "slack" (the
-    # slack basis); "" when no simplex ran (an empty variable box or no rows)
+    # how the simplex started: "warm" (the caller's basis, an earlier solve's
+    # or a crash) or "slack" (the slack basis); "" when no simplex ran (an
+    # empty variable box or no rows)
     start: str = ""
 
     @property
@@ -609,10 +621,12 @@ class _Simplex:
 
         The start is the caller's basis where it fits, else the slack basis;
         self.start names it ("warm" or "slack"). An optimal end refactors and
-        re-enters the dual simplex while the eta file fails _residuals_ok (an
-        inverse with no eta updates is a fresh factorization and needs no
-        check); a final basis whose reduced costs are not dual feasible
-        raises _NumericalTrouble."""
+        re-enters the dual simplex while the eta file fails _residuals_ok or
+        prices a nonbasic column in with the wrong sign: the duals of an
+        eta-updated inverse can carry the basis's condition number times its
+        residual. An inverse with no eta updates is a fresh factorization;
+        its residuals need no check, and a wrong sign there raises
+        _NumericalTrouble."""
         c = np.zeros(self.ncols)
         c[: self.nv] = self.c_min
         fixed = self.hi - self.lo <= 0.0
@@ -628,13 +642,16 @@ class _Simplex:
             if status == "iteration_limit":
                 return "numerical", None, None, None
             y = self._btran(c[self.basis])
-            if self.n_eta == 0 or self._residuals_ok(c, y):
+            wrong_sign = self._dual_infeasible(y, c, fixed)
+            if self.n_eta == 0:
+                if wrong_sign:
+                    raise _NumericalTrouble("a reduced cost of the final basis has the wrong sign")
+                break
+            if not wrong_sign and self._residuals_ok(c, y):
                 break
             self._refactor()
         else:
             raise _NumericalTrouble("optimality did not stabilize under refactorization")
-        if self._dual_infeasible(y, c, fixed):
-            raise _NumericalTrouble("a reduced cost of the final basis has the wrong sign")
         return "optimal", self.x[: self.nv].copy(), y, self.vstat.copy()
 
 
@@ -647,8 +664,10 @@ def solve_lp(problem, lower=None, upper=None, basis=None) -> LPSolution:
 
     lower/upper are optional arrays indexed like CompiledLP.var_names (used by
     branch-and-bound to rebound binaries without rebuilding the program).
-    basis is an earlier LPSolution.basis of a program with the same rows and
-    columns; where it fits, the solve starts there with the dual simplex.
+    basis is a status per structural and slack column of this program (an
+    earlier LPSolution.basis of a program with the same rows and columns, or
+    a crash basis); where it fits, the solve starts there with the dual
+    simplex.
     Under the bounds of the call, every column must have a finite bound on
     the side its cost prefers (see the module docstring); a ValueError
     names the first column that has none.
@@ -692,7 +711,10 @@ def solve_lp(problem, lower=None, upper=None, basis=None) -> LPSolution:
         core = _Simplex(As, bs, comp.senses, cs, los, his)
         status, xs, ys, vstat = core.solve(maxiter, basis)
     except _NumericalTrouble as exc:
-        return LPSolution("numerical", None, {}, {}, {}, 0, str(exc), start=core.start)
+        return LPSolution(
+            "numerical", None, {}, {}, {}, core.iterations, str(exc),
+            refactors=core.refactors, start=core.start,
+        )
 
     if status != "optimal":
         return LPSolution(

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .energy import FrequencySet, PowerModel, energy_per_cycle
+import numpy as np
+
+from .energy import FrequencySet, PowerModel, cheapest_frequency, energy_per_cycle
 from .imprecision import EffectiveWorkloads, precise_workloads, precision, qos
 from .listsched import Assignment
 from .lp import EQ, INF, LE, LinearProgram, LPSolution
@@ -24,6 +26,7 @@ __all__ = [
     "build_qos_lp",
     "build_min_energy_lp",
     "build_baseline_lp",
+    "asap_basis",
     "decode_schedule",
 ]
 
@@ -164,6 +167,61 @@ def build_baseline_lp(
 ) -> LinearProgram:
     """The QoS program under the labeling that keeps every task precise."""
     return build_qos_lp(g, precise_workloads(g), asg, pm, fs, eps_max, T_d)
+
+
+def asap_basis(
+    lp: LinearProgram, g: TaskGraph, asg: Assignment, pm: PowerModel, fs: FrequencySet
+) -> np.ndarray:
+    """A crash basis (Bixby 1992) for the minimum-energy program lp that
+    build_qos_lp wrote for g and asg: solve_lp(lp, basis=...) starts there.
+
+    Every task runs at i*, the frequency of lowest energy per cycle, and
+    starts as soon as its prec/chain rows allow; the incoming row that sets
+    its start binds. Basic: N[u,i*] and D[u] of every task, S[u] of every
+    task with an incoming row, and every slack but those of the load and dur
+    rows and the binding rows. Every other column sits on its lower bound,
+    which its cost (0, or an energy per cycle) prefers.
+
+    In topological order the basis is triangular, hence nonsingular. It is
+    dual feasible: the load rows price at the cost c* of i*, every other row
+    at 0, so N[u,i] has the reduced cost c_i - c* >= 0. Where the schedule
+    meets the deadline the basis is optimal; elsewhere the dual simplex
+    repairs it.
+    """
+    i_star, _ = cheapest_frequency(pm, fs)
+    f_star = fs.freqs[i_star]
+    col = {name: j for j, name in enumerate(lp.var_names)}
+    slack = {name: lp.n_vars + i for i, name in enumerate(lp.row_names)}
+    incoming = {u: [] for u in g.tasks}  # (row, predecessor, gap) per task
+    for e in g.edges:
+        incoming[e.dst].append((f"prec[{e.src},{e.dst}]", e.src, e.comm))
+    for k, seq in enumerate(asg.order):
+        for j in range(len(seq) - 1):
+            incoming[seq[j + 1]].append((f"chain[{k},{j}]", seq[j], 0.0))
+    succ = {u: [] for u in g.tasks}
+    for v, rows in incoming.items():
+        for _, u, _ in rows:
+            succ[u].append(v)
+    vstat = np.full(lp.n_vars + lp.n_rows, 2, dtype=np.int8)
+    vstat[: lp.n_vars] = 0
+    waiting = {u: len(rows) for u, rows in incoming.items()}
+    ready = [u for u in g.tasks if not waiting[u]]
+    finish = {}
+    for u in ready:  # ready grows while the walk reads it: a topological order
+        start = 0.0
+        if incoming[u]:
+            row, p, gap = max(incoming[u], key=lambda r: finish[r[1]] + r[2])
+            start = finish[p] + gap
+            vstat[col[f"S[{u}]"]] = 2
+            vstat[slack[row]] = 0
+        finish[u] = start + lp.rhs(f"load[{u}]") / f_star
+        vstat[[col[f"N[{u},{i_star}]"], col[f"D[{u}]"]]] = 2
+        vstat[[slack[f"load[{u}]"], slack[f"dur[{u}]"]]] = 0
+        for v in succ[u]:
+            waiting[v] -= 1
+            if not waiting[v]:
+                ready.append(v)
+    return vstat
 
 
 def decode_schedule(

@@ -26,6 +26,7 @@ from .lp import CompiledLP, LinearProgram, solve_lp
 from .milp import build_milp, encode_solution, solve_branch_and_bound
 from .schedlp import (
     Schedule,
+    asap_basis,
     build_baseline_lp,
     build_min_energy_lp,
     build_qos_lp,
@@ -194,12 +195,18 @@ def epsilon_star(
 ) -> tuple[float, Schedule, Assignment]:
     """Minimum energy that schedules every task precisely within the deadline.
 
+    The solve starts from the as-soon-as-possible schedule at the frequency
+    of lowest energy per cycle (schedlp.asap_basis), which is optimal when
+    that schedule meets the deadline. Of equally cheap schedules it returns
+    the one the dual simplex reaches from there.
+
     model, if given, is empty; the call fills it as the runners fill theirs,
     so its lp is the program solved.
     """
     model = MethodModel() if model is None else model
     _fill(model, "minimum-energy", g, platform)
-    sol = solve_lp(model.lp)
+    crash = asap_basis(model.lp, model.gn, model.asg, platform.power, platform.freqs)
+    sol = solve_lp(model.lp, basis=crash)
     if sol.status == "infeasible":
         raise InfeasibleError(
             "no precise schedule meets the deadline; enlarge it or add processors"

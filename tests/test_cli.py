@@ -1,5 +1,6 @@
 import io
 import shlex
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +197,25 @@ class TestSweepCommand:
 
     def test_unknown_method_usage_error(self, graph_file, tmp_path):
         assert run(f"sweep {graph_file} --methods wat") == 1
+
+    def test_matches_recorded_csv(self, tmp_path):
+        # the four graphs of perfbench's sweep workload and the CSV that
+        # `impsched sweep --methods proposed,baseline` wrote for them; every
+        # column but the wall time must come out the same, byte for byte
+        golden = Path(__file__).parent / "data" / "sweep_golden"
+        graphs = " ".join(str(p) for p in sorted(golden.glob("*.tg")))
+        csv = tmp_path / "sweep.csv"
+        assert run(f"sweep {graphs} --methods proposed,baseline --out {csv}") == 0
+
+        def without_runtime(text):
+            lines = [line.split(",") for line in text.splitlines()]
+            col = lines[0].index("runtime_s")
+            return [fields[:col] + fields[col + 1:] for fields in lines]
+
+        got = without_runtime(csv.read_text())
+        want = without_runtime((golden / "sweep.csv").read_text())
+        assert len(got) == len(want) == 57
+        assert got == want
 
 
 class TestHeftFlags:

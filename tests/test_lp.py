@@ -733,10 +733,11 @@ class TestColdStart:
 
 class TestFinalCheck:
     """A warm solve refactors in _load_basis. After the dual simplex the solve
-    refactors again only when the eta file fails its residual check, then
-    checks the signs of the final reduced costs."""
+    refactors again only when the eta file fails its residual check or prices
+    a column in with the wrong sign; a wrong sign on a fresh factorization is
+    numerical trouble."""
 
-    def warm_solve(self, monkeypatch, perturb):
+    def warm_solve(self, monkeypatch, perturb=False, recheck=False):
         qos = scheduling_lps(10)[1]
         row = qos.row_names.index("energy")
         start = solve_lp(qos)
@@ -764,14 +765,30 @@ class TestFinalCheck:
         # residual check refactors and re-enters the dual simplex, which
         # finds the basis primal feasible
         assert seen[0][0] == 1 and 0 < seen[0][1] < 10
-        assert seen[1:] == ([(2, 0)] if perturb else [])
+        assert seen[1:] == ([(2, 0)] if perturb or recheck else [])
         return warm
 
     def test_clean_pivots_keep_the_load_factorization(self, monkeypatch):
-        assert self.warm_solve(monkeypatch, perturb=False).refactors == 1
+        assert self.warm_solve(monkeypatch).refactors == 1
 
     def test_failed_residual_check_refactors(self, monkeypatch):
         assert self.warm_solve(monkeypatch, perturb=True).refactors == 2
+
+    def test_wrong_sign_on_the_eta_file_refactors_and_rechecks(self, monkeypatch):
+        # the eta file's duals carry its residual times the basis's condition
+        # number; a sign they get wrong is judged again on a fresh factorization
+        check = _Simplex._dual_infeasible
+        flagged = []
+
+        def once(self, y, c, fixed):
+            if self.n_eta and self.start == "warm" and not flagged:
+                flagged.append(self.n_eta)
+                return True
+            return check(self, y, c, fixed)
+
+        monkeypatch.setattr(_Simplex, "_dual_infeasible", once)
+        assert self.warm_solve(monkeypatch, recheck=True).refactors == 2
+        assert flagged
 
     def test_wrong_reduced_cost_sign_is_numerical(self, monkeypatch):
         # primal feasible, but x and y price in at their lower bounds:
@@ -785,6 +802,8 @@ class TestFinalCheck:
         sol = solve_lp(two_var_lp(), basis=np.array([0, 0, 2, 0, 2]))
         assert sol.start == "warm"
         assert sol.status == "numerical" and "wrong sign" in sol.message
+        # the counters of a failed solve report the core's work: the load's refactor
+        assert sol.refactors == 1 and sol.iterations == 0
 
 
 def max_violation_loop(comp, x):
@@ -803,6 +822,55 @@ def max_violation_loop(comp, x):
         worst = max(worst, v / scale[i])
     bscale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(comp.lo)))
     return max(worst, float(((comp.lo - x) / bscale).max()), float(((x - comp.hi) / bscale).max()))
+
+
+def compile_loop(lp):
+    """(A, b, c, lo, hi) of LinearProgram.compile, coefficient by
+    coefficient, as it was written before it took arrays."""
+    A = np.zeros((lp.n_rows, lp.n_vars))
+    b = np.zeros(lp.n_rows)
+    for i, (coeffs, _, rhs) in enumerate(lp._rows):
+        for v, a in coeffs.items():
+            A[i, lp._var_index[v]] = a
+        b[i] = rhs
+    c = np.zeros(lp.n_vars)
+    for v, a in lp._obj.items():
+        c[lp._var_index[v]] = a
+    return A, b, c, np.array(lp._lo), np.array(lp._hi)
+
+
+class TestCompile:
+    @pytest.mark.parametrize("regime", ["man_low", "man_mixed"])
+    def test_matches_coefficient_loop(self, regime):
+        g = generate_random_graph(GeneratorParams(n_tasks=14, mandatory_regime=regime, seed=4))
+        platform = sweep.default_platform()
+        programs = []
+        for method, eps in (("minimum-energy", None), ("proposed", 0.02), ("baseline", 0.02)):
+            model = sweep.MethodModel()
+            sweep._fill(model, method, g, platform, eps)
+            programs.append(model.lp)
+        gn = normalize_source(g)
+        programs.append(
+            build_milp(gn, platform.procs, platform.freqs, platform.power, 0.02, gn.deadline).lp
+        )
+        for lp in programs:
+            comp = lp.compile()
+            got = (comp.A, comp.b, comp.c, comp.lo, comp.hi)
+            # bitwise: the same doubles, and the same signs of zero
+            for a, want in zip(got, compile_loop(lp)):
+                assert a.shape == want.shape and a.tobytes() == want.tobytes()
+            assert comp.senses == tuple(sense for _, sense, _ in lp._rows)
+
+    @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+    def test_non_finite_coefficient_names_its_row(self, bad):
+        lp = LinearProgram()
+        lp.add_var("x")
+        lp.add_var("y")
+        lp.add_row("ok", {"x": 1.0, "y": 2.0}, LE, 1.0)
+        lp.add_row("first", {"x": 1.0, "y": bad}, LE, 1.0)
+        lp.add_row("second", {"x": bad}, LE, 1.0)
+        with pytest.raises(ValueError, match="non-finite coefficient in row 'first'"):
+            lp.compile()
 
 
 class TestScalingCache:

@@ -6,6 +6,7 @@ from impsched.imprecision import imp_label, precise_workloads, scheduling_worklo
 from impsched.listsched import heft_assign
 from impsched.lp import solve_lp
 from impsched.schedlp import (
+    asap_basis,
     build_baseline_lp,
     build_min_energy_lp,
     build_qos_lp,
@@ -32,6 +33,7 @@ from oracles import (
     min_energy_lp_reference,
     qos_lp_reference,
 )
+from test_lp import highs_objective
 from test_sweep import same_program
 
 # monotone per-cycle energy (no static term) keeps corner cases analytic
@@ -113,6 +115,43 @@ class TestMinEnergyLP:
         assert ref is not None
         assert sol.objective <= ref * (1 + 1e-9)
         assert abs(sol.objective - ref) / ref < 1e-3
+
+
+class TestAsapBasis:
+    """The crash epsilon_star starts from: the as-soon-as-possible schedule
+    at the cheapest frequency. It fits the minimum-energy program and is
+    optimal where that schedule meets the deadline; elsewhere the dual
+    simplex repairs it to the slack start's optimum."""
+
+    @staticmethod
+    def crash_and_slack(g):
+        platform = default_platform()
+        model = MethodModel()
+        epsilon_star(g, platform, model)
+        crash = asap_basis(model.lp, model.gn, model.asg, platform.power, platform.freqs)
+        warm, cold = solve_lp(model.lp, basis=crash), solve_lp(model.lp)
+        assert warm.start == "warm" and cold.start == "slack"
+        assert warm.optimal and warm.objective == pytest.approx(cold.objective, rel=1e-12)
+        status, ref = highs_objective(model.lp.compile())
+        assert status == "optimal" and warm.objective == pytest.approx(ref, rel=1e-9)
+        return warm
+
+    @pytest.mark.parametrize("n", [10, 44])
+    @pytest.mark.parametrize("regime", sorted(MANDATORY_REGIMES))
+    def test_optimal_where_the_schedule_meets_the_deadline(self, regime, n):
+        g = generate_random_graph(GeneratorParams(n_tasks=n, mandatory_regime=regime, seed=n))
+        assert self.crash_and_slack(g).iterations == 0
+
+    @pytest.mark.parametrize("n", [10, 44])
+    def test_dual_simplex_repairs_a_missed_deadline(self, n):
+        g = generate_random_graph(GeneratorParams(n_tasks=n, mandatory_regime="man_mixed", seed=n))
+        # the crash vertex is the as-soon-as-possible schedule at the cheapest
+        # frequency; 10% less time than it takes is still feasible at f_max
+        vertex = self.crash_and_slack(g)
+        makespan = max(
+            vertex.values[f"S[{u}]"] + vertex.values[f"D[{u}]"] for u in normalize_source(g).tasks
+        )
+        assert self.crash_and_slack(g.with_deadline(0.9 * makespan)).iterations > 0
 
 
 class TestBaselineLP:
