@@ -575,6 +575,7 @@ def cmd_fit(args) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI config with [platform]/[generator]/[sweep]")

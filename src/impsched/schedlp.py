@@ -7,6 +7,12 @@ row per task, and either the energy budget with the QoS objective or, without
 a budget, minimum energy. The baseline and the minimum-energy program (its
 optimum is the sweep anchor) are that program under the labeling that keeps
 every task precise (imprecision.precise_workloads).
+
+One as-soon-as-possible walk at the frequency of lowest energy per cycle
+serves twice: as the crash basis every first solve starts from
+(asap_basis), and as the minimum-energy schedule of fixed per-task loads
+(min_energy_schedule), which a sweep row reports in place of the QoS
+program's vertex.
 """
 
 from __future__ import annotations
@@ -24,9 +30,12 @@ from .taskgraph import TaskGraph
 __all__ = [
     "Schedule",
     "build_qos_lp",
+    "build_load_lp",
     "build_min_energy_lp",
     "build_baseline_lp",
     "asap_basis",
+    "chosen_loads",
+    "min_energy_schedule",
     "decode_schedule",
 ]
 
@@ -118,27 +127,46 @@ def build_qos_lp(
     budget eps_max, exit tasks run their (possibly extended) mandatory part
     plus a free optional amount and the program maximizes mean exit
     precision. Without one (None), exit tasks run their optional part in full
-    too and the program minimizes energy.
+    too and the program minimizes energy (build_load_lp).
     """
+    exits = set(g.exits())
+    if eps_max is None:
+        loads = {
+            u: float(wl.mandatory_eff[u] + g.task(u).optional) if u in exits
+            else float(wl.total[u])
+            for u in g.tasks
+        }
+        return build_load_lp(g, asg, loads, pm, fs, T_d)
     lp = LinearProgram()
     _add_timing_core(lp, g, asg, fs, T_d)
-    exits = set(g.exits())
     for u in g.tasks:
-        t = g.task(u)
         total = {f"N[{u},{i}]": 1.0 for i in range(len(fs))}
         if u not in exits:
             lp.add_row(f"load[{u}]", total, EQ, float(wl.total[u]))
-        elif eps_max is None:
-            lp.add_row(f"load[{u}]", total, EQ, float(wl.mandatory_eff[u] + t.optional))
         else:
-            lp.add_var(f"o[{u}]", 0.0, float(t.optional))
+            lp.add_var(f"o[{u}]", 0.0, float(g.task(u).optional))
             total[f"o[{u}]"] = -1.0
             lp.add_row(f"load[{u}]", total, EQ, float(wl.mandatory_eff[u]))
-    if eps_max is None:
-        lp.set_objective("min", _energy_coeffs(g, pm, fs))
-    else:
-        lp.add_row("energy", _energy_coeffs(g, pm, fs), LE, eps_max)
-        _qos_objective(lp, g)
+    lp.add_row("energy", _energy_coeffs(g, pm, fs), LE, eps_max)
+    _qos_objective(lp, g)
+    return lp
+
+
+def build_load_lp(
+    g: TaskGraph,
+    asg: Assignment,
+    loads: dict[str, float],
+    pm: PowerModel,
+    fs: FrequencySet,
+    T_d: float,
+) -> LinearProgram:
+    """Minimize total energy while every task u executes loads[u] cycles."""
+    lp = LinearProgram()
+    _add_timing_core(lp, g, asg, fs, T_d)
+    for u in g.tasks:
+        total = {f"N[{u},{i}]": 1.0 for i in range(len(fs))}
+        lp.add_row(f"load[{u}]", total, EQ, loads[u])
+    lp.set_objective("min", _energy_coeffs(g, pm, fs))
     return lp
 
 
@@ -169,29 +197,13 @@ def build_baseline_lp(
     return build_qos_lp(g, precise_workloads(g), asg, pm, fs, eps_max, T_d)
 
 
-def asap_basis(
-    lp: LinearProgram, g: TaskGraph, asg: Assignment, pm: PowerModel, fs: FrequencySet
-) -> np.ndarray:
-    """A crash basis (Bixby 1992) for the minimum-energy program lp that
-    build_qos_lp wrote for g and asg: solve_lp(lp, basis=...) starts there.
-
-    Every task runs at i*, the frequency of lowest energy per cycle, and
-    starts as soon as its prec/chain rows allow; the incoming row that sets
-    its start binds. Basic: N[u,i*] and D[u] of every task, S[u] of every
-    task with an incoming row, and every slack but those of the load and dur
-    rows and the binding rows. Every other column sits on its lower bound,
-    which its cost (0, or an energy per cycle) prefers.
-
-    In topological order the basis is triangular, hence nonsingular. It is
-    dual feasible: the load rows price at the cost c* of i*, every other row
-    at 0, so N[u,i] has the reduced cost c_i - c* >= 0. Where the schedule
-    meets the deadline the basis is optimal; elsewhere the dual simplex
-    repairs it.
-    """
-    i_star, _ = cheapest_frequency(pm, fs)
-    f_star = fs.freqs[i_star]
-    col = {name: j for j, name in enumerate(lp.var_names)}
-    slack = {name: lp.n_vars + i for i, name in enumerate(lp.row_names)}
+def _asap(
+    g: TaskGraph, asg: Assignment, durations: dict[str, float]
+) -> tuple[dict[str, float], dict[str, str | None]]:
+    """The as-soon-as-possible schedule of tasks with fixed durations on asg:
+    each task's start, and the name of the incoming prec/chain row that sets
+    it (None for a task with no incoming row). The walk visits the tasks in
+    a topological order of both row kinds; ties go to the first row."""
     incoming = {u: [] for u in g.tasks}  # (row, predecessor, gap) per task
     for e in g.edges:
         incoming[e.dst].append((f"prec[{e.src},{e.dst}]", e.src, e.comm))
@@ -202,26 +214,141 @@ def asap_basis(
     for v, rows in incoming.items():
         for _, u, _ in rows:
             succ[u].append(v)
-    vstat = np.full(lp.n_vars + lp.n_rows, 2, dtype=np.int8)
-    vstat[: lp.n_vars] = 0
     waiting = {u: len(rows) for u, rows in incoming.items()}
     ready = [u for u in g.tasks if not waiting[u]]
-    finish = {}
+    start, binding, finish = {}, {}, {}
     for u in ready:  # ready grows while the walk reads it: a topological order
-        start = 0.0
+        start[u], binding[u] = 0.0, None
         if incoming[u]:
             row, p, gap = max(incoming[u], key=lambda r: finish[r[1]] + r[2])
-            start = finish[p] + gap
-            vstat[col[f"S[{u}]"]] = 2
-            vstat[slack[row]] = 0
-        finish[u] = start + lp.rhs(f"load[{u}]") / f_star
-        vstat[[col[f"N[{u},{i_star}]"], col[f"D[{u}]"]]] = 2
-        vstat[[slack[f"load[{u}]"], slack[f"dur[{u}]"]]] = 0
+            start[u], binding[u] = finish[p] + gap, row
+        finish[u] = start[u] + durations[u]
         for v in succ[u]:
             waiting[v] -= 1
             if not waiting[v]:
                 ready.append(v)
+    return start, binding
+
+
+def asap_basis(
+    lp: LinearProgram, g: TaskGraph, asg: Assignment, pm: PowerModel, fs: FrequencySet
+) -> np.ndarray:
+    """A crash basis (Bixby 1992) for a program that build_qos_lp or
+    build_load_lp wrote for g and asg: solve_lp(lp, basis=...) starts there.
+
+    Every task runs at i*, the frequency of lowest energy per cycle, and
+    starts as soon as its prec/chain rows allow; the incoming row that sets
+    its start binds. Each o[u] of a QoS program sits on its upper bound,
+    g.task(u).optional, so its task runs the load row's right-hand side plus
+    that. Basic: N[u,i*] and D[u] of every task, S[u] of every task with an
+    incoming row, and every slack but those of the load and dur rows and the
+    binding rows (the energy row's slack is basic). Every other column sits
+    on its lower bound. Each bound is the one the column's cost prefers: the
+    lower for a cost of 0 or an energy per cycle, the upper for o's QoS
+    weight.
+
+    In topological order the basis is triangular, hence nonsingular. It is
+    dual feasible. In the minimum-energy program the load rows price at the
+    cost c* of i* and every other row at 0, so N[u,i] has the reduced cost
+    c_i - c* >= 0. In a QoS program every basic costs 0, so every row
+    prices at 0. Where the schedule meets the deadline (and, in a QoS
+    program, the budget) the basis is optimal; elsewhere the dual simplex
+    repairs it.
+    """
+    i_star, _ = cheapest_frequency(pm, fs)
+    f_star = fs.freqs[i_star]
+    col = {name: j for j, name in enumerate(lp.var_names)}
+    slack = {name: lp.n_vars + i for i, name in enumerate(lp.row_names)}
+    vstat = np.full(lp.n_vars + lp.n_rows, 2, dtype=np.int8)
+    vstat[: lp.n_vars] = 0
+    load = {}
+    for u in g.tasks:
+        load[u] = lp.rhs(f"load[{u}]")
+        if f"o[{u}]" in col:
+            vstat[col[f"o[{u}]"]] = 1
+            load[u] += g.task(u).optional
+    _, binding = _asap(g, asg, {u: w / f_star for u, w in load.items()})
+    for u, row in binding.items():
+        if row is not None:
+            vstat[col[f"S[{u}]"]] = 2
+            vstat[slack[row]] = 0
+        vstat[[col[f"N[{u},{i_star}]"], col[f"D[{u}]"]]] = 2
+        vstat[[slack[f"load[{u}]"], slack[f"dur[{u}]"]]] = 0
     return vstat
+
+
+def chosen_loads(
+    g: TaskGraph, lp: LinearProgram, sol: LPSolution, fixed_opt: dict[str, float] | None
+) -> tuple[dict[str, float], dict[str, float]]:
+    """The cycles per task and the executed optional cycles that an optimal
+    solution sol of the QoS program lp chose: each load row's right-hand
+    side, plus on exit tasks the o value, clamped into its box as
+    decode_schedule clamps it. fixed_opt is as in decode_schedule."""
+    opt = _opt_cycles(g, sol.values, fixed_opt)
+    loads = {
+        u: lp.rhs(f"load[{u}]") + (opt[u] if f"o[{u}]" in sol.values else 0.0)
+        for u in g.tasks
+    }
+    return loads, opt
+
+
+def min_energy_schedule(
+    g: TaskGraph,
+    asg: Assignment,
+    loads: dict[str, float],
+    opt_cycles: dict[str, float],
+    pm: PowerModel,
+    fs: FrequencySet,
+    T_d: float,
+) -> Schedule | None:
+    """The minimum-energy schedule in which every task u executes loads[u]
+    cycles on asg within T_d, where its closed form holds; else None.
+
+    That is the as-soon-as-possible schedule with every task at i*, the
+    frequency of lowest energy per cycle c*. Every cycle costs at least c*,
+    so c* times the total load bounds the energy from below, and this
+    schedule reaches the bound: where it meets T_d it is optimal. Where it
+    does not, the minimum-energy program of the loads (build_load_lp)
+    decides. opt_cycles are the executed optional cycles the QoS is
+    computed from.
+    """
+    i_star, c_star = cheapest_frequency(pm, fs)
+    f_star = fs.freqs[i_star]
+    durations = {u: loads[u] / f_star for u in g.tasks}
+    start, _ = _asap(g, asg, durations)
+    makespan = max(start[u] + durations[u] for u in g.tasks)
+    if makespan > T_d:
+        return None
+    cycles = {
+        (u, i): loads[u] if i == i_star else 0.0 for u in g.tasks for i in range(len(fs))
+    }
+    energy = c_star * sum(loads.values())
+    return Schedule(
+        start, cycles, dict(opt_cycles), durations, energy, _qos(g, opt_cycles), makespan
+    )
+
+
+def _opt_cycles(g: TaskGraph, values: dict[str, float], fixed_opt) -> dict[str, float]:
+    opt = {}
+    for u in g.tasks:
+        key = f"o[{u}]"
+        if key in values:
+            # keep solver round-off out of the precision algebra
+            opt[u] = min(max(values[key], 0.0), float(g.task(u).optional))
+        elif fixed_opt is not None and u in fixed_opt:
+            opt[u] = float(fixed_opt[u])
+    return opt
+
+
+def _qos(g: TaskGraph, opt_cycles: dict[str, float]) -> float:
+    exits = g.exits()
+    missing = [u for u in exits if u not in opt_cycles]
+    if missing:
+        raise ValueError(f"no optional cycles for exit tasks: {', '.join(missing)}")
+    return qos(
+        precision(g.task(u).threshold, g.task(u).optional, opt_cycles[u])
+        for u in exits
+    )
 
 
 def decode_schedule(
@@ -243,7 +370,6 @@ def decode_schedule(
     start = {}
     durations = {}
     cycles = {}
-    opt_cycles = {}
     energy = 0.0
     for u in g.tasks:
         start[u] = sol.values[f"S[{u}]"]
@@ -252,19 +378,6 @@ def decode_schedule(
             n = sol.values[f"N[{u},{i}]"]
             cycles[(u, i)] = n
             energy += n * costs[i]
-        key = f"o[{u}]"
-        if key in sol.values:
-            # keep solver round-off out of the precision algebra
-            opt_cycles[u] = min(max(sol.values[key], 0.0), float(g.task(u).optional))
-        elif fixed_opt is not None and u in fixed_opt:
-            opt_cycles[u] = float(fixed_opt[u])
-    exits = g.exits()
-    missing = [u for u in exits if u not in opt_cycles]
-    if missing:
-        raise ValueError(f"no optional cycles for exit tasks: {', '.join(missing)}")
-    q = qos(
-        precision(g.task(u).threshold, g.task(u).optional, opt_cycles[u])
-        for u in exits
-    )
+    opt_cycles = _opt_cycles(g, sol.values, fixed_opt)
     makespan = max(start[u] + durations[u] for u in g.tasks)
-    return Schedule(start, cycles, opt_cycles, durations, energy, q, makespan)
+    return Schedule(start, cycles, opt_cycles, durations, energy, _qos(g, opt_cycles), makespan)

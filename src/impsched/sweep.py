@@ -12,6 +12,15 @@ with only the `energy` right-hand side changed (LinearProgram.with_rhs),
 sharing the compiled matrices and scaling, from the previous row's final
 basis (see lp.solve_lp). The walk drops the compiled arrays when it ends, so
 nothing a row returns or was given holds a dense matrix afterwards.
+
+A walk's first solve, and eps*'s, starts from the crash schedlp.asap_basis:
+the as-soon-as-possible schedule at the frequency of lowest energy per
+cycle. The QoS program decides a row's feasibility and QoS, but it has many
+optimal vertices, and the schedule at the vertex depends on the simplex's
+path. So a row reports, of the workloads its solve chose, the schedule of
+minimum energy: in closed form that as-soon-as-possible schedule again
+(schedlp.min_energy_schedule), where it meets the deadline, else the optimum
+of the minimum-energy program of those workloads.
 """
 
 from __future__ import annotations
@@ -28,9 +37,12 @@ from .schedlp import (
     Schedule,
     asap_basis,
     build_baseline_lp,
+    build_load_lp,
     build_min_energy_lp,
     build_qos_lp,
+    chosen_loads,
     decode_schedule,
+    min_energy_schedule,
 )
 from .taskgraph import TaskGraph, normalize_source
 from .verify import WorkloadContract, verify_schedule
@@ -114,9 +126,9 @@ class MethodOutcome:
 @dataclass
 class MethodModel:
     """One LP method's program on one graph and platform, and what a row
-    needs to decode and verify its solution. Empty until a runner's (or
-    epsilon_star's) first call fills it; every later call re-solves the same
-    program at its own budget. compiled (the program's compile()) and basis are the walk's:
+    needs to decode and verify its solution. Empty, or holding only gn and
+    asg, until a runner's (or epsilon_star's) first call fills it; every
+    later call re-solves the same program at its own budget. compiled (the program's compile()) and basis are the walk's:
     while compiled is set, every budget's program shares its arrays."""
 
     gn: TaskGraph | None = None
@@ -126,7 +138,7 @@ class MethodModel:
     contract: WorkloadContract | None = None
     fixed_opt: dict[str, float] | None = None
     compiled: CompiledLP | None = None
-    basis: object = None  # the last solve's final basis (LPSolution.basis)
+    basis: object = None  # the next solve's start: the crash, then the last final basis
 
     def program(self, eps_max: float) -> LinearProgram:
         """The method's LP under the energy budget eps_max."""
@@ -158,20 +170,24 @@ def _checked(g, sched, asg, platform, eps_max, contract, method) -> None:
 
 
 def _fill(model: MethodModel, method: str, g, platform, eps_max=None) -> None:
-    """Fill an empty model: normalize, label (proposed) or keep every task
-    precise (baseline, minimum-energy), list-schedule the scheduling
-    workloads, build the LP. Without a budget the LP is eps*'s minimum-energy
-    program, and the contract pins every task to its initial workload."""
-    gn = normalize_source(g)
+    """Fill a model that has no LP yet: normalize, label (proposed) or keep
+    every task precise (baseline, minimum-energy), list-schedule the
+    scheduling workloads, build the LP. Without a budget the LP is eps*'s
+    minimum-energy program, and the contract pins every task to its initial
+    workload. A model that comes with gn and asg (eps*'s, for the baseline,
+    which list-schedules the same workloads) keeps them."""
+    gn = normalize_source(g) if model.gn is None else model.gn
     lab, wl = imp_label(gn) if method == "proposed" else (None, precise_workloads(gn))
-    asg = heft_assign(
-        gn,
-        {u: float(w) for u, w in scheduling_workloads(gn, wl).items()},
-        platform.procs,
-        platform.freqs.f_max,
-        insertion=platform.heft_insertion,
-        lp_comm=platform.heft_lp_comm,
-    )
+    asg = model.asg
+    if asg is None:
+        asg = heft_assign(
+            gn,
+            {u: float(w) for u, w in scheduling_workloads(gn, wl).items()},
+            platform.procs,
+            platform.freqs.f_max,
+            insertion=platform.heft_insertion,
+            lp_comm=platform.heft_lp_comm,
+        )
     pm, fs, T_d = platform.power, platform.freqs, gn.deadline
     # one program under three names, so that a trace tells the methods apart
     if method == "proposed":
@@ -198,7 +214,8 @@ def epsilon_star(
     The solve starts from the as-soon-as-possible schedule at the frequency
     of lowest energy per cycle (schedlp.asap_basis), which is optimal when
     that schedule meets the deadline. Of equally cheap schedules it returns
-    the one the dual simplex reaches from there.
+    the one the dual simplex reaches from there. The walks of run_proposed
+    and run_baseline start from the same crash of their own programs.
 
     model, if given, is empty; the call fills it as the runners fill theirs,
     so its lp is the program solved.
@@ -221,21 +238,34 @@ def epsilon_star(
 
 
 def _run(method: str, g, platform, eps_max, model: MethodModel | None) -> MethodOutcome:
+    """One row of an LP method, in two stages.
+
+    The QoS program decides feasibility and QoS. Its first solve on a model
+    starts from the crash (schedlp.asap_basis), every later one from the
+    previous row's final basis. The program has many optimal vertices, so
+    the row reports, of the workloads that solve chose, the minimum-energy
+    schedule (_min_energy), which does not depend on the vertex.
+    """
     t0 = time.monotonic()
     model = MethodModel() if model is None else model
     if model.lp is None:
         _fill(model, method, g, platform, eps_max)
+    gn, asg = model.gn, model.asg
+    if model.basis is None:
+        model.basis = asap_basis(model.lp, gn, asg, platform.power, platform.freqs)
     sol = solve_lp(model.program(eps_max), basis=model.basis)
     if sol.basis is not None:
         model.basis = sol.basis
-    runtime = time.monotonic() - t0
     if sol.status == "infeasible":
-        return MethodOutcome(method, False, runtime=runtime, status="infeasible")
+        return MethodOutcome(
+            method, False, runtime=time.monotonic() - t0, status="infeasible"
+        )
     if not sol.optimal:
         raise PipelineError(f"{method} LP ended {sol.status}: {sol.message}")
-    gn = model.gn
-    sched = decode_schedule(gn, platform.power, platform.freqs, sol, fixed_opt=model.fixed_opt)
-    _checked(gn, sched, model.asg, platform, eps_max, model.contract, method)
+    loads, opt = chosen_loads(gn, model.lp, sol, model.fixed_opt)
+    sched = _min_energy(gn, asg, loads, opt, platform, method)
+    runtime = time.monotonic() - t0
+    _checked(gn, sched, asg, platform, eps_max, model.contract, method)
     return MethodOutcome(
         method,
         True,
@@ -244,10 +274,28 @@ def _run(method: str, g, platform, eps_max, model: MethodModel | None) -> Method
         makespan=sched.makespan,
         runtime=runtime,
         schedule=sched,
-        assignment=model.asg,
+        assignment=asg,
         labeling=model.labeling,
         status="optimal",
     )
+
+
+def _min_energy(gn, asg, loads, opt, platform, method) -> Schedule:
+    """The minimum-energy schedule of fixed loads within the deadline: the
+    closed form where it holds (schedlp.min_energy_schedule), else the
+    minimum-energy program of the loads from its crash. That program goes to
+    solve_lp compiled, as branch-and-bound's node programs do, so that the
+    only LinearProgram a row hands solve_lp is its QoS program: a tracer
+    may re-solve it and compare the objective with the row's QoS."""
+    pm, fs, T_d = platform.power, platform.freqs, gn.deadline
+    sched = min_energy_schedule(gn, asg, loads, opt, pm, fs, T_d)
+    if sched is not None:
+        return sched
+    lp = build_load_lp(gn, asg, loads, pm, fs, T_d)
+    sol = solve_lp(lp.compile(), basis=asap_basis(lp, gn, asg, pm, fs))
+    if not sol.optimal:
+        raise PipelineError(f"{method} minimum-energy LP ended {sol.status}: {sol.message}")
+    return decode_schedule(gn, pm, fs, sol, fixed_opt=opt)
 
 
 def run_proposed(
@@ -338,10 +386,13 @@ def sweep_graph(
     """Run every configured method down its own feasibility cliff.
 
     Each LP method's rows share one MethodModel, past the cliff too (see the
-    module docstring); branch-and-bound starts every ratio cold.
+    module docstring); branch-and-bound starts every ratio cold. The
+    baseline's model starts with eps*'s normalized graph and assignment,
+    when this call solves eps*: both list-schedule the initial workloads.
     """
+    star = MethodModel()
     if eps_star_value is None:
-        eps_star_value, _, _ = epsilon_star(g, platform)
+        eps_star_value, _, _ = epsilon_star(g, platform, star)
     # built per call, so the runners are looked up by their module names
     runners = {
         "proposed": run_proposed,
@@ -353,6 +404,8 @@ def sweep_graph(
     rows: list[SweepRow] = []
     for method in cfg.methods:
         model = MethodModel()
+        if method == "baseline":
+            model.gn, model.asg = star.gn, star.asg
         beyond = None  # points probed past the first infeasible ratio
         try:
             for ratio in sweep_ratios(cfg.resolution):

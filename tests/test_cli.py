@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from impsched import sweep
+from impsched import cli, sweep
 from impsched.cli import main, parse_schedule
 from impsched.lp import solve_lp, write_lp_file
 from impsched.taskgraph import parse_task_graph, validate_graph
@@ -198,10 +198,11 @@ class TestSweepCommand:
     def test_unknown_method_usage_error(self, graph_file, tmp_path):
         assert run(f"sweep {graph_file} --methods wat") == 1
 
-    def test_matches_recorded_csv(self, tmp_path):
-        # the four graphs of perfbench's sweep workload and the CSV that
-        # `impsched sweep --methods proposed,baseline` wrote for them; every
-        # column but the wall time must come out the same, byte for byte
+    @staticmethod
+    def golden_rows(tmp_path):
+        """The rows `impsched sweep --methods proposed,baseline` writes for
+        the four graphs of perfbench's sweep workload, and the rows it wrote
+        when recorded, without the wall time."""
         golden = Path(__file__).parent / "data" / "sweep_golden"
         graphs = " ".join(str(p) for p in sorted(golden.glob("*.tg")))
         csv = tmp_path / "sweep.csv"
@@ -212,10 +213,56 @@ class TestSweepCommand:
             col = lines[0].index("runtime_s")
             return [fields[:col] + fields[col + 1:] for fields in lines]
 
-        got = without_runtime(csv.read_text())
-        want = without_runtime((golden / "sweep.csv").read_text())
+        return without_runtime(csv.read_text()), without_runtime((golden / "sweep.csv").read_text())
+
+    def test_matches_recorded_csv(self, tmp_path):
+        # every column but the wall time must come out the same, byte for byte
+        got, want = self.golden_rows(tmp_path)
         assert len(got) == len(want) == 57
         assert got == want
+
+    def test_recorded_csv_does_not_depend_on_the_vertex(self, tmp_path, monkeypatch):
+        # the QoS programs have many optimal vertices, and from the slack
+        # start their first solves reach other ones than from the crash; a
+        # row reports the minimum-energy schedule of the workloads its solve
+        # chose, which is the same at every one of them
+        crash = sweep.asap_basis
+        starts = []
+
+        def solve(problem, *args, **kwargs):
+            sol = solve_lp(problem, *args, **kwargs)
+            starts.append(sol.start)
+            return sol
+
+        monkeypatch.setattr(
+            sweep, "asap_basis",
+            lambda lp, *args: None if "energy" in lp.row_names else crash(lp, *args),
+        )
+        monkeypatch.setattr(sweep, "solve_lp", solve)
+        got, want = self.golden_rows(tmp_path)
+        assert starts.count("slack") == 8
+        assert got == want
+
+
+class TestParser:
+    def test_successive_calls_parse_independently(self, graph_file, tmp_path, monkeypatch, capsys):
+        # main keeps one parser per process; nothing of one call's
+        # subcommand or flags may reach the next
+        seen = []
+
+        def record(graph_id, g, platform, cfg):
+            seen.append((platform.procs, cfg.methods, cfg.resolution))
+            return []
+
+        monkeypatch.setattr(cli, "sweep_graph", record)
+        out = tmp_path / "rows.csv"
+        run(f"sweep {graph_file} --methods baseline --resolution 0.5 --procs 2 --out {out}")
+        assert run(f"epsilon-star {graph_file}") == 0
+        assert "epsilon_star_J" in capsys.readouterr().out
+        assert out.read_text() == sweep.CSV_HEADER + "\n"
+        run(f"sweep {graph_file}")
+        assert seen == [(2, ("baseline",), 0.5), (4, ("proposed", "baseline"), 0.05)]
+        assert capsys.readouterr().out == sweep.CSV_HEADER + "\n"
 
 
 class TestHeftFlags:

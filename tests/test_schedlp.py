@@ -5,12 +5,16 @@ from impsched.energy import FrequencySet, PowerModel, energy_per_cycle
 from impsched.imprecision import imp_label, precise_workloads, scheduling_workloads
 from impsched.listsched import heft_assign
 from impsched.lp import solve_lp
+from impsched import sweep
 from impsched.schedlp import (
     asap_basis,
     build_baseline_lp,
+    build_load_lp,
     build_min_energy_lp,
     build_qos_lp,
+    chosen_loads,
     decode_schedule,
+    min_energy_schedule,
 )
 from impsched.sweep import (
     MethodModel,
@@ -25,7 +29,7 @@ from impsched.taskgraph import (
     generate_random_graph,
     normalize_source,
 )
-from impsched.verify import WorkloadContract
+from impsched.verify import WorkloadContract, verify_schedule
 from oracles import (
     baseline_contract_reference,
     baseline_lp_reference,
@@ -152,6 +156,74 @@ class TestAsapBasis:
             vertex.values[f"S[{u}]"] + vertex.values[f"D[{u}]"] for u in normalize_source(g).tasks
         )
         assert self.crash_and_slack(g.with_deadline(0.9 * makespan)).iterations > 0
+
+
+class TestMinEnergySchedule:
+    """The second stage of a proposed or baseline row: of the workloads its
+    QoS solve chose, the schedule of minimum energy."""
+
+    @pytest.mark.parametrize("n", [10, 44])
+    @pytest.mark.parametrize("regime", sorted(MANDATORY_REGIMES))
+    def test_reaches_the_optimum_of_the_chosen_loads(self, regime, n):
+        platform = default_platform()
+        pm, fs = platform.power, platform.freqs
+        g = generate_random_graph(GeneratorParams(n_tasks=n, mandatory_regime=regime, seed=n))
+        star, _, _ = epsilon_star(g, platform)
+        model, solved = MethodModel(), []
+
+        def capture(problem, *args, **kwargs):
+            solved.append(solve_lp(problem, *args, **kwargs))
+            return solved[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep, "solve_lp", capture)
+            # a budget that binds on 4 of the 8 graphs
+            out = run_proposed(g, platform, 0.95 * star, model)
+        assert out.feasible and len(solved) == 1
+        gn, asg, T_d, sol = model.gn, model.asg, model.gn.deadline, solved[0]
+        loads, opt = chosen_loads(gn, model.lp, sol, model.fixed_opt)
+        sched = min_energy_schedule(gn, asg, loads, opt, pm, fs, T_d)
+        assert sched == out.schedule
+        # the QoS is the first stage's, bit for bit
+        assert sched.qos == decode_schedule(gn, pm, fs, sol, model.fixed_opt).qos
+        status, ref = highs_objective(build_load_lp(gn, asg, loads, pm, fs, T_d).compile())
+        assert status == "optimal" and sched.energy == pytest.approx(ref, rel=1e-9)
+        # 10% less time than the as-soon-as-possible schedule takes
+        assert min_energy_schedule(gn, asg, loads, opt, pm, fs, 0.9 * sched.makespan) is None
+
+    @pytest.mark.parametrize("n", [10, 44])
+    @pytest.mark.parametrize("regime", sorted(MANDATORY_REGIMES))
+    def test_a_missed_deadline_solves_the_program_of_the_loads(self, regime, n):
+        platform = default_platform()
+        pm, fs = platform.power, platform.freqs
+        g = generate_random_graph(GeneratorParams(n_tasks=n, mandatory_regime=regime, seed=n))
+        star, _, _ = epsilon_star(g, platform)
+        # a budget that buys full QoS at either deadline, so both rows choose
+        # the same loads; at 90% of the first row's makespan the closed form
+        # misses the deadline
+        eps = 10 * star
+        loose = run_proposed(g, platform, eps)
+        assert loose.qos == 1.0
+        tight = g.with_deadline(0.9 * loose.makespan)
+        model, solved = MethodModel(), []
+
+        def capture(problem, *args, **kwargs):
+            solved.append((problem, solve_lp(problem, *args, **kwargs)))
+            return solved[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep, "solve_lp", capture)
+            out = run_proposed(tight, platform, eps, model)
+        assert out.feasible and out.qos == 1.0
+        gn, asg, T_d = model.gn, model.asg, model.gn.deadline
+        loads, opt = chosen_loads(gn, model.lp, solved[0][1], model.fixed_opt)
+        assert min_energy_schedule(gn, asg, loads, opt, pm, fs, T_d) is None
+        (_, _), (comp, sol) = solved
+        assert not comp.maximize and sol.start == "warm"
+        status, ref = highs_objective(comp)
+        assert status == "optimal" and sol.objective == pytest.approx(ref, rel=1e-9)
+        assert out.energy == pytest.approx(sol.objective, rel=1e-12)
+        assert verify_schedule(gn, out.schedule, asg, pm, fs, eps, T_d, model.contract).ok
 
 
 class TestBaselineLP:

@@ -9,7 +9,7 @@ from impsched import sweep
 from impsched.imprecision import imp_label, scheduling_workloads
 from impsched.listsched import heft_assign
 from impsched.lp import CompiledLP, LinearProgram, solve_lp
-from impsched.schedlp import build_baseline_lp, build_qos_lp
+from impsched.schedlp import asap_basis, build_baseline_lp, build_qos_lp
 from impsched.sweep import (
     CSV_HEADER,
     MethodModel,
@@ -195,7 +195,7 @@ class TestWarmSweep:
 
         def capture(problem, *args, **kwargs):
             sol = solve_lp(problem, *args, **kwargs)
-            solves.append((problem.compile(), kwargs.get("basis") is not None, sol))
+            solves.append((problem.compile(), kwargs.get("basis"), sol))
             return sol
 
         with pytest.MonkeyPatch.context() as mp:
@@ -206,17 +206,23 @@ class TestWarmSweep:
         # back to call order: each method down its ratios
         rows.sort(key=lambda r: (cfg.methods.index(r.method), -r.eps_ratio))
         runners = {"proposed": run_proposed, "baseline": run_baseline}
-        for row, (comp, warm, sol) in zip(rows, solves):
-            cold = runners[row.method](g, platform4, row.eps_ratio * star)
+        for row, (comp, basis, sol) in zip(rows, solves):
+            model = MethodModel()
+            cold = runners[row.method](g, platform4, row.eps_ratio * star, model)
             assert row.feasible == cold.feasible
-            assert warm == (row.eps_ratio < 1.0)
+            # the first row of a walk starts from the crash, every later one
+            # from the previous row's final basis
+            assert sol.start == "warm"
+            if row.eps_ratio == 1.0:
+                pm, fs = platform4.power, platform4.freqs
+                assert np.array_equal(basis, asap_basis(model.lp, model.gn, model.asg, pm, fs))
             status, ref = highs_objective(comp)
             assert sol.status == status
             if row.feasible:
                 assert row.qos == pytest.approx(cold.qos, rel=1e-9)
                 assert row.qos == pytest.approx(ref, rel=1e-9)
         # points past each cliff were proved infeasible by the dual simplex
-        proved = [sol for comp, warm, sol in solves if warm and sol.status == "infeasible"]
+        proved = [sol for _, _, sol in solves if sol.status == "infeasible"]
         assert len(proved) >= 4 and all(sol.basis is not None for sol in proved)
 
 
