@@ -381,15 +381,17 @@ def _write_out(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _eps_from_args(g, platform, args) -> float:
+def _eps_from_args(g, platform, args, star: MethodModel) -> float:
+    """The budget of --eps-max, else --eps-ratio (default 1) times eps*.
+    star is an empty model that the eps* solve, if one runs, fills."""
     if getattr(args, "eps_max", None) is not None:
         return _check_finite("--eps-max", args.eps_max)
     ratio = getattr(args, "eps_ratio", None)
     if ratio is None:
         ratio = 1.0
     _check_finite("--eps-ratio", ratio)
-    star, _, _ = epsilon_star(g, platform)
-    return ratio * star
+    value, _, _ = epsilon_star(g, platform, star)
+    return ratio * value
 
 
 def cmd_generate(args) -> int:
@@ -441,11 +443,14 @@ def cmd_epsilon_star(args) -> int:
 def _run_single(method: str, args) -> int:
     g = _read_graph(args.graph)
     platform = _platform_from(args)
-    eps_max = _eps_from_args(g, platform, args)
+    star = MethodModel()
+    eps_max = _eps_from_args(g, platform, args, star)
     model = MethodModel()
     if method == "proposed":
         out = run_proposed(g, platform, eps_max, model)
     elif method == "baseline":
+        # eps* list-scheduled the same precise workloads, as in sweep_graph
+        model.gn, model.asg = star.gn, star.asg
         out = run_baseline(g, platform, eps_max, model)
     else:
         # the sweep's time-limit default and check, without its config file

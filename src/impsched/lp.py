@@ -15,9 +15,13 @@ columns are identity columns and are never built: pricing, column reads and
 row activities take them from their row, and a refactorization inverts only
 the structural kernel of the basis, the rows its slacks leave uncovered. A
 solve ends on the eta file as it stands unless it fails a residual check,
-and refactors only then. Solutions are re-checked against the original data
-before being reported; numerical trouble is surfaced as a status, never
-silently.
+and refactors only then. A CompiledLP keeps the last inverse computed for
+it, with its basis, and neither bounds nor right-hand sides enter an
+inverse: a warm solve that starts where an earlier solve of the same matrix
+factored (a sweep row after a row that took no pivot, a branch-and-bound
+child) adopts that inverse, so each basis is factored once. Solutions are
+re-checked against the original data before being reported; numerical
+trouble is surfaced as a status, never silently.
 
 solve_lp requires every column to have a finite bound on the side its cost
 prefers (the upper bound when the cost, in min sense, is negative, else the
@@ -51,8 +55,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
@@ -109,6 +115,16 @@ class LinearProgram:
     @property
     def row_names(self) -> tuple[str, ...]:
         return tuple(self._row_names)
+
+    @property
+    def var_index(self) -> Mapping[str, int]:
+        """Each variable's column, by name (a read-only view)."""
+        return MappingProxyType(self._var_index)
+
+    @property
+    def row_index(self) -> Mapping[str, int]:
+        """Each row's position, by name (a read-only view)."""
+        return MappingProxyType(self._row_index)
 
     def add_var(self, name: str, lo: float = 0.0, hi: float = INF) -> str:
         if name in self._var_index:
@@ -233,8 +249,9 @@ class CompiledLP:
     hi: np.ndarray
     maximize: bool
     constant: float
-    # what solve_lp derives from A alone (see _scaling); dataclasses.replace
-    # starts a new program with an empty cache
+    # what solve_lp derives from A alone, the last basis inverse included
+    # (see _scaling); dataclasses.replace starts a new program with an empty
+    # cache
     _scaled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -244,9 +261,9 @@ class LPSolution:
     objective: float | None
     values: dict[str, float]
     duals: dict[str, float]
-    reduced_costs: dict[str, float]
     iterations: int
     message: str = ""
+    # basis inverses computed; one adopted from the program's cache is not counted
     refactors: int = 0
     # largest violation of the original rows and bounds (max_violation);
     # None when the solution was not re-checked
@@ -325,9 +342,11 @@ def _equilibrate(shape, rows, cols, M) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scaling(comp: CompiledLP):
-    """(R, C, the scaled A, the row scales of max_violation): everything the
-    solver derives from A alone, computed once per CompiledLP, so that the
-    nodes of a branch-and-bound share it. All four come from the nonzeros."""
+    """(R, C, the scaled A, the row scales of max_violation, the last basis
+    inverse): everything the solver derives from A alone, computed once per
+    CompiledLP, so that the nodes of a branch-and-bound share it. The first
+    four come from the nonzeros; the last is a one-slot list that
+    _Simplex._refactor fills with (basis, B0^-1)."""
     if comp._scaled is None:
         A = comp.A
         rows, cols = np.nonzero(A)
@@ -339,7 +358,7 @@ def _scaling(comp: CompiledLP):
         As.flags.writeable = False
         row_max = np.zeros(A.shape[0])
         np.maximum.at(row_max, rows, M)
-        comp._scaled = R, C, As, np.maximum(1.0, row_max)
+        comp._scaled = R, C, As, np.maximum(1.0, row_max), [None]
     return comp._scaled
 
 
@@ -358,8 +377,11 @@ class _Simplex:
     last refactorization and the k columns of P and Q (stored as the first k
     rows of eta_p and eta_q) hold one rank-1 update per pivot since then.
     The file holds REFACTOR_EVERY updates; filling it forces a refactor.
-    A refactorization inverts only the basis's structural kernel (_refactor);
+    A refactorization inverts only the basis's structural kernel (_invert);
     the end of a solve refactors only when the basis fails _residuals_ok.
+    factor, a one-slot list shared by the solves of one scaled A, holds the
+    last inverse computed and its basis, in position order; a refactor at
+    that basis adopts it (_refactor).
 
     solve() loads a caller's basis through _load_basis where it fits, else
     adopts the slack basis (_adopt), runs the dual simplex (_dual) from it
@@ -377,7 +399,7 @@ class _Simplex:
     # solutions agree with HiGHS and the recorded objectives.
     RESID_TOL = 1e-10
 
-    def __init__(self, A, b, senses, c_min, lo, hi):
+    def __init__(self, A, b, senses, c_min, lo, hi, factor=None):
         nr, nv = A.shape
         self.nr, self.nv = nr, nv
         slack_lo = np.array([0.0 if s == LE else (-INF if s == GE else 0.0) for s in senses])
@@ -390,6 +412,7 @@ class _Simplex:
         self.c_min = c_min
         self.iterations = 0
         self.refactors = 0
+        self.factor = [None] if factor is None else factor
         self.eta_p = np.empty((self.REFACTOR_EVERY, nr))
         self.eta_q = np.empty((self.REFACTOR_EVERY, nr))
 
@@ -410,7 +433,25 @@ class _Simplex:
         return a
 
     def _refactor(self):
-        """B0^-1 from the structural kernel of the basis.
+        """Make B0^-1 the inverse of the basis and empty the eta file.
+
+        The inverse of the basis in self.factor is adopted from there, the
+        same array _invert would compute again; any other is computed and
+        takes its place. Either way self.d goes stale.
+        """
+        key = self.basis.tobytes()
+        if self.factor[0] is None or self.factor[0][0] != key:
+            self.factor[0] = key, self._invert()
+            self.refactors += 1
+        inv = self.B0_inv = self.factor[0][1]
+        self.n_eta = 0
+        self.d = None
+        xn = self.x.copy()
+        xn[self.basis] = 0.0
+        self.x[self.basis] = inv @ (self.b - self._times(xn))
+
+    def _invert(self):
+        """The inverse of the basis, from its structural kernel (read-only).
 
         Each basic slack covers its own row. With those rows and positions
         moved last, B = [[B_kk, 0], [B_sk, I]], so B^-1 = [[K, 0], [-B_sk K, I]]
@@ -432,12 +473,8 @@ class _Simplex:
         inv[np.ix_(pos_s, rows_k)] = K
         inv[np.ix_(pos_u, rows_k)] = -(self.A[np.ix_(rows_u, cols)] @ K)
         inv[pos_u, rows_u] = 1.0
-        self.B0_inv = inv
-        self.n_eta = 0
-        self.refactors += 1
-        xn = self.x.copy()
-        xn[self.basis] = 0.0
-        self.x[self.basis] = inv @ (self.b - self._times(xn))
+        inv.flags.writeable = False  # shared with later solves of this matrix
+        return inv
 
     def _ftran(self, a):
         """B^-1 a."""
@@ -511,7 +548,8 @@ class _Simplex:
         It fits when it has the right length and exactly nr basics, puts every
         nonbasic on a finite bound, refactors to a nonsingular inverse, and is
         dual feasible for c. A basis that does not fit leaves nothing behind
-        that the next start does not overwrite.
+        that the next start does not overwrite but the cached inverse of
+        that basis, which stays exact.
         """
         vstat = np.asarray(vstat)
         if vstat.shape != (self.ncols,):
@@ -548,7 +586,6 @@ class _Simplex:
         """
         tol_d = _dual_tol(c)
         e_r = np.zeros(self.nr)
-        priced = -1  # the refactorization self.d was computed on
         # +1 for a column at its lower bound, -1 at its upper; 0 for basic
         # and fixed columns, which never enter
         side = np.where(self.vstat == 0, 1.0, -1.0)
@@ -564,9 +601,8 @@ class _Simplex:
             if self.iterations >= maxiter:
                 return "iteration_limit"
             self.iterations += 1
-            if priced != self.refactors:
+            if self.d is None:  # refactored since it was computed
                 self.d = c - self._prices(self._btran(c[self.basis]))
-                priced = self.refactors
             d = self.d
             e_r[r] = 1.0
             alpha = self._prices(self._btran(e_r))
@@ -687,19 +723,16 @@ def solve_lp(problem, lower=None, upper=None, basis=None) -> LPSolution:
         raise ValueError(f"column {name!r} has no finite bound on the side its cost prefers")
 
     if np.any(lo > hi):
-        return LPSolution("infeasible", None, {}, {}, {}, 0, "empty variable box")
+        return LPSolution("infeasible", None, {}, {}, 0, "empty variable box")
 
     if nr == 0:
         x = preferred
         obj = float(c_user @ x) + comp.constant
         values = {n: float(x[j]) for j, n in enumerate(comp.var_names)}
-        rc = c_user.copy()
-        return LPSolution(
-            "optimal", obj, values, {}, {n: float(rc[j]) for j, n in enumerate(comp.var_names)}, 0
-        )
+        return LPSolution("optimal", obj, values, {}, 0)
 
     # power-of-two equilibration: exact to apply and to undo
-    R, C, As, _ = _scaling(comp)
+    R, C, As, _, factor = _scaling(comp)
     bs = comp.b * R
     cs = c_min * C
     with np.errstate(invalid="ignore"):
@@ -708,17 +741,17 @@ def solve_lp(problem, lower=None, upper=None, basis=None) -> LPSolution:
 
     maxiter = 20000 + 50 * (nr + nv)
     try:
-        core = _Simplex(As, bs, comp.senses, cs, los, his)
+        core = _Simplex(As, bs, comp.senses, cs, los, his, factor)
         status, xs, ys, vstat = core.solve(maxiter, basis)
     except _NumericalTrouble as exc:
         return LPSolution(
-            "numerical", None, {}, {}, {}, core.iterations, str(exc),
+            "numerical", None, {}, {}, core.iterations, str(exc),
             refactors=core.refactors, start=core.start,
         )
 
     if status != "optimal":
         return LPSolution(
-            status, None, {}, {}, {}, core.iterations,
+            status, None, {}, {}, core.iterations,
             refactors=core.refactors, basis=vstat, start=core.start,
         )
 
@@ -735,7 +768,6 @@ def solve_lp(problem, lower=None, upper=None, basis=None) -> LPSolution:
             None,
             {},
             {},
-            {},
             core.iterations,
             f"solution violates original rows by {viol:.2e}",
             refactors=core.refactors,
@@ -745,13 +777,11 @@ def solve_lp(problem, lower=None, upper=None, basis=None) -> LPSolution:
 
     y_min = ys * R
     y_user = -y_min if comp.maximize else y_min
-    rc_user = c_user - comp.A.T @ y_user
     obj = float(c_user @ x) + comp.constant
     values = {n: float(x[j]) for j, n in enumerate(comp.var_names)}
     duals = {n: float(y_user[i]) for i, n in enumerate(comp.row_names)}
-    rcs = {n: float(rc_user[j]) for j, n in enumerate(comp.var_names)}
     return LPSolution(
-        "optimal", obj, values, duals, rcs, core.iterations,
+        "optimal", obj, values, duals, core.iterations,
         refactors=core.refactors, violation=viol, basis=vstat, start=core.start,
     )
 

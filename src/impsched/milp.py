@@ -385,7 +385,6 @@ def solve_branch_and_bound(
                 incumbent_obj,
                 {n: float(x[j]) for j, n in enumerate(comp.var_names)},
                 {},
-                {},
                 0,
                 "seeded incumbent",
             )

@@ -257,10 +257,9 @@ def asap_basis(
     """
     i_star, _ = cheapest_frequency(pm, fs)
     f_star = fs.freqs[i_star]
-    col = {name: j for j, name in enumerate(lp.var_names)}
-    slack = {name: lp.n_vars + i for i, name in enumerate(lp.row_names)}
-    vstat = np.full(lp.n_vars + lp.n_rows, 2, dtype=np.int8)
-    vstat[: lp.n_vars] = 0
+    col, row_at, nv = lp.var_index, lp.row_index, lp.n_vars
+    vstat = np.full(nv + lp.n_rows, 2, dtype=np.int8)
+    vstat[:nv] = 0
     load = {}
     for u in g.tasks:
         load[u] = lp.rhs(f"load[{u}]")
@@ -271,9 +270,9 @@ def asap_basis(
     for u, row in binding.items():
         if row is not None:
             vstat[col[f"S[{u}]"]] = 2
-            vstat[slack[row]] = 0
+            vstat[nv + row_at[row]] = 0
         vstat[[col[f"N[{u},{i_star}]"], col[f"D[{u}]"]]] = 2
-        vstat[[slack[f"load[{u}]"], slack[f"dur[{u}]"]]] = 0
+        vstat[[nv + row_at[f"load[{u}]"], nv + row_at[f"dur[{u}]"]]] = 0
     return vstat
 
 

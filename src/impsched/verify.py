@@ -150,12 +150,12 @@ def verify_schedule(
         checks.append(CheckResult(name, margin >= -_TOL, margin, detail))
 
     # every comparison below is False for nan, so non-finite numbers fail here
-    numbers = [(f"start[{u}]", v) for u, v in sched.start.items()]
-    numbers += [(f"D[{u}]", v) for u, v in sched.durations.items()]
-    numbers += [(f"N[{u},{i}]", v) for (u, i), v in sched.cycles.items()]
-    numbers += [(f"o[{u}]", v) for u, v in sched.opt_cycles.items()]
-    numbers += [("energy", sched.energy), ("qos", sched.qos)]
-    bad = [name for name, v in numbers if not math.isfinite(v)]
+    finite = math.isfinite
+    bad = [f"start[{u}]" for u, v in sched.start.items() if not finite(v)]
+    bad += [f"D[{u}]" for u, v in sched.durations.items() if not finite(v)]
+    bad += [f"N[{u},{i}]" for (u, i), v in sched.cycles.items() if not finite(v)]
+    bad += [f"o[{u}]" for u, v in sched.opt_cycles.items() if not finite(v)]
+    bad += [name for name, v in (("energy", sched.energy), ("qos", sched.qos)) if not finite(v)]
     add("finite-values", -math.inf if bad else 0.0, ", ".join(bad))
 
     # cycles non-negative
@@ -167,9 +167,10 @@ def verify_schedule(
     add("cycles-nonnegative", worst[0], worst[1])
 
     # workload windows
+    totals = {u: sum(sched.cycles.get((u, i), 0.0) for i in range(n_f)) for u in g.tasks}
     lo_m, hi_m, detail = 0.0, 0.0, ""
     for u in g.tasks:
-        total = sum(sched.cycles.get((u, i), 0.0) for i in range(n_f))
+        total = totals[u]
         lo, hi = contract.bounds[u]
         m_lo = _scaled(total - lo, lo)
         m_hi = _scaled(hi - total, hi)
@@ -184,8 +185,7 @@ def verify_schedule(
     for u in g.tasks:
         if u not in sched.opt_cycles:
             continue
-        total = sum(sched.cycles.get((u, i), 0.0) for i in range(n_f))
-        expect = total - contract.mandatory[u]
+        expect = totals[u] - contract.mandatory[u]
         err = -_scaled(abs(sched.opt_cycles[u] - expect), contract.mandatory[u] + 1.0)
         if err < worst[0]:
             worst = (err, f"{u}: o={sched.opt_cycles[u]:.2f} vs {expect:.2f}")

@@ -166,6 +166,32 @@ class TestScheduleVerify:
         assert run(f"verify {gf} {sched_file}") == 0
 
 
+class TestBaselineCommand:
+    def test_eps_ratio_lends_eps_stars_assignment(self, graph_file, tmp_path, monkeypatch, capsys):
+        calls = []
+        heft = sweep.heft_assign
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return heft(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "heft_assign", counting)
+        shared = tmp_path / "shared.txt"
+        assert run(f"baseline {graph_file} --eps-ratio 0.9 --out {shared}") == 0
+        # eps* list-schedules the precise workloads once, for both solves
+        assert len(calls) == 1
+        out = capsys.readouterr().out
+        # the same budget given directly: the baseline list-schedules on its own
+        g = parse_task_graph(graph_file.read_text())
+        star, _, _ = sweep.epsilon_star(g, sweep.default_platform())
+        calls.clear()
+        alone = tmp_path / "alone.txt"
+        assert run(f"baseline {graph_file} --eps-max {0.9 * star!r} --out {alone}") == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == out
+        assert alone.read_text() == shared.read_text()
+
+
 class TestExportLp:
     @pytest.mark.parametrize("cmd", ["schedule", "baseline", "epsilon-star"])
     def test_exports_the_program_the_run_solved(self, cmd, graph_file, tmp_path, monkeypatch):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from impsched import sweep
-from impsched.milp import build_milp
+from impsched import milp, sweep
+from impsched.energy import DEFAULT_FREQUENCY_SET, DEFAULT_POWER_MODEL, FrequencySet
+from impsched.milp import build_milp, encode_solution, solve_branch_and_bound
 from impsched.lp import (
     EQ,
     FEAS_TOL,
@@ -298,6 +299,11 @@ def scheduling_lps(n):
     man_low graph (seed 7), compiled; the QoS LP at 0.8 eps* and the
     baseline LP at 0.9 eps*, budgets that bind at n = 10, 38 and 80.
     Compiled after the runs, so each is a fresh CompiledLP of its own."""
+    return [lp.compile() for lp in scheduling_programs(n)]
+
+
+def scheduling_programs(n):
+    """The LinearPrograms of scheduling_lps(n), as the pipeline solved them."""
     captured = []
 
     def capture(problem, *args, **kwargs):
@@ -311,7 +317,7 @@ def scheduling_lps(n):
         star, _, _ = sweep.epsilon_star(g, platform)
         assert sweep.run_proposed(g, platform, 0.8 * star).feasible
         assert sweep.run_baseline(g, platform, 0.9 * star).feasible
-    return [lp.compile() for lp in captured]
+    return captured
 
 
 def equilibrated(comp):
@@ -919,6 +925,93 @@ class TestScalingCache:
             comp = random_lp(rng).compile()
             x = rng.uniform(-1.0, 13.0, len(comp.var_names))
             assert max_violation(comp, x) == max_violation_loop(comp, x)
+
+
+def same_solve(a, b):
+    """Whether two solutions agree bit for bit, refactor counts apart."""
+    return (
+        a.status == b.status
+        and repr(a.objective) == repr(b.objective)
+        and a.iterations == b.iterations
+        and a.basis.tobytes() == b.basis.tobytes()
+        and [(n, repr(v)) for n, v in a.values.items()]
+        == [(n, repr(v)) for n, v in b.values.items()]
+    )
+
+
+class TestFactorCache:
+    """A CompiledLP keeps the last basis inverse a solve computed, keyed by
+    the basis in position order; a refactor at that basis adopts it."""
+
+    def test_warm_solve_at_the_factored_basis_computes_no_inverse(self):
+        lp = scheduling_programs(10)[1]
+        comp = lp.compile()
+        first = solve_lp(comp)
+        # from its own final basis: no pivot, and the cache now holds that basis
+        again = solve_lp(comp, basis=first.basis)
+        assert again.iterations == 0 and _scaling(comp)[4][0] is not None
+        # a lower budget, on a copy that shares comp's cache
+        energy = comp.b[comp.row_names.index("energy")]
+        lower = lp.with_rhs("energy", 0.7 * energy, comp).compile()
+        assert _scaling(lower) is _scaling(comp)
+        warm = solve_lp(lower, basis=first.basis)
+        empty = dataclasses.replace(lower)
+        assert empty._scaled is None
+        fresh = solve_lp(empty, basis=first.basis)
+        assert warm.optimal and warm.iterations > 0
+        assert warm.refactors == 0 and fresh.refactors == 1
+        assert same_solve(warm, fresh)
+
+    def test_same_basic_set_in_another_order_is_factored_anew(self):
+        comp = scheduling_lps(10)[1]
+        vstat = solve_lp(comp).basis
+        A, b, c, lo, hi = equilibrated(comp)
+        factor = [None]
+        core = _Simplex(A, b, comp.senses, c, lo, hi, factor)
+        core._adopt(vstat)
+        assert core.refactors == 1 and factor[0][1] is core.B0_inv
+        assert np.count_nonzero(core.basis < core.nv) > 1
+        core.basis = core.basis[::-1].copy()
+        core._refactor()
+        assert core.refactors == 2 and factor[0][1] is core.B0_inv
+        assert_inverse_matches(core)
+        # that order once more adopts the inverse just computed
+        core._refactor()
+        assert core.refactors == 2
+        assert_inverse_matches(core)
+
+    def test_branch_and_bound_matches_a_run_without_the_cache(self, monkeypatch):
+        # criterion 5's instance n = 5, K = 1, seed 510
+        fs = FrequencySet((DEFAULT_FREQUENCY_SET.freqs[0], DEFAULT_FREQUENCY_SET.freqs[4]))
+        platform = sweep.PlatformConfig(DEFAULT_POWER_MODEL, fs, 1)
+        g = generate_random_graph(
+            GeneratorParams(n_tasks=5, mandatory_regime="man_mixed", seed=510), f_max=fs.f_max
+        )
+        gn = normalize_source(g)
+        eps = 0.85 * sweep.epsilon_star(g, platform)[0]
+        prop = sweep.run_proposed(g, platform, eps)
+
+        def run(empty_cache):
+            refactors = []
+
+            def solve(comp, **kwargs):
+                sol = solve_lp(dataclasses.replace(comp) if empty_cache else comp, **kwargs)
+                refactors.append(sol.refactors)
+                return sol
+
+            model = build_milp(gn, 1, fs, DEFAULT_POWER_MODEL, eps, gn.deadline)
+            seed_values = encode_solution(model, prop.assignment, prop.schedule)
+            with monkeypatch.context() as mp:
+                mp.setattr(milp, "solve_lp", solve)
+                res, _, _ = solve_branch_and_bound(model, time_limit=240.0, seed_values=seed_values)
+            assert res.status == "optimal"
+            return res, refactors
+
+        cached, computed = run(False)
+        empty, every = run(True)
+        assert (cached.nodes, cached.lp_iterations) == (empty.nodes, empty.lp_iterations)
+        assert repr(cached.objective) == repr(empty.objective)
+        assert len(computed) == len(every) and sum(computed) < sum(every)
 
 
 class TestEquilibrate:

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from impsched import sweep
 from impsched.imprecision import imp_label, scheduling_workloads
 from impsched.listsched import heft_assign
-from impsched.lp import CompiledLP, LinearProgram, solve_lp
+from impsched.lp import CompiledLP, LinearProgram, _scaling, solve_lp
 from impsched.schedlp import asap_basis, build_baseline_lp, build_qos_lp
 from impsched.sweep import (
     CSV_HEADER,
@@ -288,15 +289,20 @@ class TestModelReuse:
         star, _, _ = epsilon_star(g, platform)
         cfg = SweepConfig()
         solved = []
+        inverses = []
 
         def capture(problem, *args, **kwargs):
             # the program, as the solver sees it, and a weak reference to the
-            # compiled template it shares
+            # compiled template it shares; the copy kept holds none of the
+            # template's cache
             ref = problem._shares[0]
             during = problem.compile()
             assert ref() is not None and during.A is ref().A
-            solved.append((problem, during, ref))
-            return solve_lp(problem, *args, **kwargs)
+            solved.append((problem, dataclasses.replace(during), ref))
+            sol = solve_lp(problem, *args, **kwargs)
+            # the basis inverse the solve left in the template's cache
+            inverses.append(weakref.ref(_scaling(during)[4][0][1]))
+            return sol
 
         def keeping(runner):
             # keeps every call's arguments and result, as a tracer would
@@ -314,7 +320,8 @@ class TestModelReuse:
         assert len(kept) == len(rows)
         rows.sort(key=lambda r: (cfg.methods.index(r.method), -r.eps_ratio))
         return types.SimpleNamespace(
-            g=g, platform=platform, star=star, rows=rows, solved=solved, kept=kept
+            g=g, platform=platform, star=star, rows=rows, solved=solved, kept=kept,
+            inverses=inverses,
         )
 
     def test_each_row_compiles_to_a_fresh_build(self, walk):
@@ -349,6 +356,9 @@ class TestModelReuse:
         # one template per method, gone once sweep_graph returned, although
         # the runners' arguments (the walk's models) are still kept
         assert len(refs) == 2 and all(ref() is None for ref in refs)
+        # and so is every basis inverse its cache held
+        assert len(walk.inverses) == len(walk.solved)
+        assert all(ref() is None for ref in walk.inverses)
 
     def test_cold_outcome_holds_no_program(self, walk):
         out = run_proposed(walk.g, walk.platform, walk.star)

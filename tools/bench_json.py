@@ -7,9 +7,12 @@ DIR holds the `result-<workload>-seed<N>-trace<T>.json` files that
 workload the output gives each metric's median and quartiles on both sides
 over the runs found, untraced runs for the end-to-end metrics and traced ones
 for the per-layer metrics; for end-to-end metrics also how many pairs of runs
-at the same seed the change won. It also records the environment of the
-runs and the `src/` line count of both sides. The output goes to
-BENCH_<TAG>.json in the current directory.
+at the same seed the change won, and the median and quartiles of the
+change/parent ratio over those pairs: on a host that switches between speed
+states, both runs of a pair share one state more often than the runs of a
+side do. It also records the environment of the runs and the `src/` line
+count of both sides. The output goes to BENCH_<TAG>.json in the current
+directory.
 """
 
 from __future__ import annotations
@@ -68,11 +71,17 @@ def fold(parent: list[dict], change: list[dict]) -> dict:
                 if section == "end_to_end":
                     seeds = sorted(set(sides["parent"]) & set(sides["change"]))
                     sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
-                    won = sum(
-                        sign * sides["change"][s][section][name] < sign * sides["parent"][s][section][name]
+                    pairs = [
+                        (sides["change"][s][section][name], sides["parent"][s][section][name])
                         for s in seeds
-                    )
+                    ]
+                    won = sum(sign * c < sign * p for c, p in pairs)
                     row["change_won_pairs"] = f"{won}/{len(seeds)}"
+                    ratios = [c / p for c, p in pairs if p]  # a parent at 0 has no ratio
+                    if ratios:
+                        ratio = summary(ratios)
+                        ratio["pairs"] = ratio.pop("runs")
+                        row["change_over_parent"] = ratio
                 metrics[name] = row
             if metrics:
                 entry[section] = metrics
