@@ -6,11 +6,10 @@ Binary variables: Pi[k,u] assigns task u to processor k; Y[k,u,v] says u runs
 immediately before v on k (with virtual list heads 0 and n+1); X[u] clamps the
 summed parent output errors at 1. The product X*errsum is linearized exactly.
 
-A node differs from its parent only in binary bounds. It first fixes every
-binary whose other value the row activities rule out, repeating until no
-bound changes, then re-solves the relaxation from its parent's final basis
-with the bounded dual simplex of the lp module. Every node solves the same
-CompiledLP, so the program is compiled and equilibrated once per search.
+A node differs from its parent only in binary bounds. It re-solves the
+relaxation from its parent's final basis with the bounded dual simplex of
+the lp module. Every node solves the same CompiledLP, so the program is
+compiled and equilibrated once per search.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from .energy import FrequencySet, PowerModel
 from .listsched import Assignment
-from .lp import EQ, GE, LE, CompiledLP, LinearProgram, LPSolution, max_violation, solve_lp
+from .lp import EQ, GE, LE, LinearProgram, LPSolution, max_violation, solve_lp
 from .schedlp import Schedule, _energy_coeffs, _qos_objective, decode_schedule
 from .taskgraph import TaskGraph, topological_order
 
@@ -43,7 +42,7 @@ INT_TOL = 1e-6
 @dataclass
 class MilpModel:
     lp: LinearProgram
-    binaries: tuple[str, ...]  # Pi block, then Y, then X; order = branch tie priority
+    binaries: tuple[str, ...]  # Pi block, then Y, then X (the last n); ties branch by position
     task_order: tuple[str, ...]  # index 1..n maps to task_order[i-1]
     procs: int
     graph: TaskGraph
@@ -61,6 +60,9 @@ class BnbResult:
     nodes: int
     wall_time: float
     lp_iterations: int  # simplex iterations summed over every node LP
+    # how each explored node ended: infeasible, bound (pruned by its LP
+    # bound), integral, branched or numerical; the counts sum to nodes
+    ends: dict[str, int]
 
     @property
     def gap(self) -> float:
@@ -310,52 +312,6 @@ def decode_assignment(model: MilpModel, values: dict[str, float]) -> Assignment:
     return Assignment(proc_of, tuple(order))
 
 
-def _binary_rows(comp: CompiledLP, bin_idx: np.ndarray):
-    """The rows that touch a binary, as dense arrays for _tighten: the
-    positive and negative parts of their coefficients, the right-hand sides,
-    which rows have an upper side (<=, ==) and which a lower side (>=, ==),
-    and the binary columns."""
-    touch = np.any(comp.A[:, bin_idx] != 0.0, axis=1)
-    A = comp.A[touch]
-    senses = np.array(comp.senses)[touch]
-    return np.maximum(A, 0), np.minimum(A, 0), comp.b[touch], senses != GE, senses != LE, bin_idx
-
-
-def _tighten(rows, lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Round implied binary bounds to 0/1 until none changes; returns False
-    on infeasibility.
-
-    Each round takes the min/max activity of every row at the current
-    bounds and fixes every free binary whose implied cap or floor rules
-    out one of its values. A binary changes at most once, so this ends.
-    Every bound must be finite, as build_milp declares them.
-    """
-    pos, neg, b, upper, lower, bin_idx = rows
-    B = (pos + neg)[:, bin_idx]
-    while True:
-        minact = pos @ lo + neg @ hi
-        maxact = pos @ hi + neg @ lo
-        if np.any(upper & (minact > b + 1e-7)) or np.any(lower & (maxact < b - 1e-7)):
-            return False
-        slack = np.where(upper, b - minact, np.inf)[:, None]
-        surplus = np.where(lower, maxact - b, np.inf)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # how far each binary may rise from its lower bound / fall from its upper
-            rise = np.where(B > 0, slack / B, np.where(B < 0, surplus / -B, np.inf)).min(axis=0)
-            fall = np.where(B < 0, slack / -B, np.where(B > 0, surplus / B, np.inf)).min(axis=0)
-        free = hi[bin_idx] > lo[bin_idx]
-        cap = lo[bin_idx] + rise
-        floor_ = hi[bin_idx] - fall
-        drop = free & (cap < 1.0 - INT_TOL)
-        lift = free & (floor_ > INT_TOL)
-        if not (drop.any() or lift.any()):
-            return not np.any(lo > hi)
-        if np.any(cap[drop] < -INT_TOL) or np.any(floor_[lift] > 1.0 + INT_TOL):
-            return False  # a binary both dropped and lifted ends with lo > hi
-        hi[bin_idx[drop]] = 0.0
-        lo[bin_idx[lift]] = 1.0
-
-
 def solve_branch_and_bound(
     model: MilpModel,
     time_limit: float = 600.0,
@@ -363,16 +319,19 @@ def solve_branch_and_bound(
 ) -> tuple[BnbResult, Schedule | None, Assignment | None]:
     """Best-first branch-and-bound on the LP relaxation.
 
-    Branches on the most fractional binary (ties: Pi before Y before X, then
-    ascending index). Each node tightens its binary bounds to a fixpoint and
-    solves its LP warm from its parent's basis; an integral leaf re-solves
-    with every binary fixed, warm from the leaf's own basis.
+    While some free clamp bit X[u] is fractional, branches on the most
+    fractional of them: with X fractional, Ei = X + Esum - Z can fall below
+    min(1, Esum), which leaves the LP bound vacuous. Otherwise branches on
+    the most fractional binary. Ties go to the first in model.binaries.
+    Each node solves its LP warm from its parent's basis; an integral leaf
+    re-solves with every binary fixed, warm from the leaf's own basis.
     seed_values, when given and feasible, becomes the initial incumbent.
+    A node LP that ends neither optimal nor infeasible stops the search
+    with status "unknown".
     """
     t0 = time.monotonic()
     comp = model.lp.compile()
     bin_idx = np.array([comp.var_index[b] for b in model.binaries], dtype=np.int64)
-    rows = _binary_rows(comp, bin_idx)
 
     incumbent_obj = None
     incumbent_sol: LPSolution | None = None
@@ -401,6 +360,7 @@ def solve_branch_and_bound(
 
     push(float("inf"), comp.lo.copy(), comp.hi.copy(), None)
     explored = 0
+    ends = dict.fromkeys(("infeasible", "bound", "integral", "branched", "numerical"), 0)
     lp_iterations = 0
     status = None
 
@@ -417,18 +377,19 @@ def solve_branch_and_bound(
             continue
         explored += 1
 
-        if not _tighten(rows, lo, hi):
-            continue
         sol = solve_lp(comp, lower=lo, upper=hi, basis=basis)
         lp_iterations += sol.iterations
         if sol.status == "infeasible":
+            ends["infeasible"] += 1
             continue
         if not sol.optimal:
             # numerical trouble on a subproblem: treat as unexplored bound
+            ends["numerical"] += 1
             status = "unknown"
             break
         node_bound = min(bound, sol.objective)
         if incumbent_obj is not None and node_bound <= incumbent_obj + 1e-9:
+            ends["bound"] += 1
             continue
 
         xb = np.array([sol.values[comp.var_names[j]] for j in bin_idx])
@@ -436,6 +397,7 @@ def solve_branch_and_bound(
         frac = np.where(hi[bin_idx] > lo[bin_idx], frac, 0.0)
         worst = float(frac.max(initial=0.0))
         if worst <= INT_TOL:
+            ends["integral"] += 1
             flo = lo.copy()
             fhi = hi.copy()
             rounded = np.round(np.clip(xb, 0.0, 1.0))
@@ -452,18 +414,22 @@ def solve_branch_and_bound(
                     incumbent_sol = fixed_sol
             continue
 
-        # most fractional; ties resolved by position in the binaries tuple
+        # most fractional X[u] while one is fractional, else most fractional
+        # binary; ties resolved by position in the binaries tuple
+        first = len(bin_idx) - len(model.task_order)
+        if frac[first:].max() <= INT_TOL:
+            first = 0
         best_j = None
         best_score = -1.0
-        for pos, j in enumerate(bin_idx):
+        for pos in range(first, len(bin_idx)):
+            j = bin_idx[pos]
             if hi[j] <= lo[j]:
                 continue
             score = min(xb[pos], 1.0 - xb[pos])
             if score > best_score + 1e-9:
                 best_score = score
                 best_j = j
-        if best_j is None or best_score <= INT_TOL:
-            continue
+        ends["branched"] += 1
         for branch_val in (0.0, 1.0):
             blo = lo.copy()
             bhi = hi.copy()
@@ -481,7 +447,7 @@ def solve_branch_and_bound(
     )
     if status == "optimal":
         best_bound = incumbent_obj
-    result = BnbResult(status, incumbent_obj, best_bound, explored, wall, lp_iterations)
+    result = BnbResult(status, incumbent_obj, best_bound, explored, wall, lp_iterations, ends)
 
     schedule = None
     assignment = None

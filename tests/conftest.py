@@ -37,6 +37,16 @@ def platform4():
     return PlatformConfig(DEFAULT_POWER_MODEL, DEFAULT_FREQUENCY_SET, 4)
 
 
+# criterion 5's branch-and-bound instances: (n, K, seed - 500, ratio to eps*)
+# on man_mixed graphs and the frequencies {f0, f4}
+EXACT_CASES = tuple(
+    [(4, 2, s, 0.9) for s in range(5)]
+    + [(5, 2, s, 0.9) for s in range(5, 8)]
+    + [(5, 1, s, 0.85) for s in range(8, 11)]
+    + [(6, 1, s, 0.85) for s in range(11, 15)]
+)
+
+
 def make_graph(tasks, edges=(), deadline=1.0):
     """tasks: (id, M, O, m, PT) tuples; edges: (src, dst, comm) tuples."""
     return TaskGraph(

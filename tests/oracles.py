@@ -368,75 +368,6 @@ def grid_min_energy_two_chain(g, pm, fs, T_d, steps: int = 60) -> float | None:
     return best
 
 
-# --- bound tightening, one row at a time ---------------------------------------
-
-def tighten_loop(comp, bin_idx, lo, hi, int_tol: float = 1e-6) -> bool:
-    """Activity-based rounding of binary bounds, row by row (up to 10 rounds).
-
-    Reference for the array version in impsched.milp: updates lo/hi in place
-    and returns False when some row shows the box infeasible.
-    """
-    is_bin = np.zeros(len(comp.var_names), dtype=bool)
-    is_bin[bin_idx] = True
-    rows = []
-    for r in range(comp.A.shape[0]):
-        cols = np.nonzero(comp.A[r])[0]
-        if is_bin[cols].any():
-            rows.append((cols, comp.A[r, cols].copy(), comp.senses[r], comp.b[r], is_bin[cols]))
-    for _ in range(10):
-        changed = False
-        for cols, coefs, sense, rhs, binmask in rows:
-            l = lo[cols]
-            h = hi[cols]
-            minact = np.where(coefs > 0, coefs * l, coefs * h).sum()
-            maxact = np.where(coefs > 0, coefs * h, coefs * l).sum()
-            if sense in (LE, EQ) and np.isfinite(minact):
-                if minact > rhs + 1e-7:
-                    return False
-                slack = rhs - minact
-                for j in np.nonzero(binmask)[0]:
-                    a = coefs[j]
-                    if a > 0 and h[j] > l[j]:
-                        cap = l[j] + slack / a
-                        if cap < 1.0 - int_tol and hi[cols[j]] > 0.0:
-                            if cap < -int_tol:
-                                return False
-                            hi[cols[j]] = 0.0
-                            changed = True
-                    elif a < 0 and h[j] > l[j]:
-                        floor_ = h[j] - slack / (-a)
-                        if floor_ > int_tol and lo[cols[j]] < 1.0:
-                            if floor_ > 1.0 + int_tol:
-                                return False
-                            lo[cols[j]] = 1.0
-                            changed = True
-            if sense in (GE, EQ) and np.isfinite(maxact):
-                if maxact < rhs - 1e-7:
-                    return False
-                surplus = maxact - rhs
-                for j in np.nonzero(binmask)[0]:
-                    a = coefs[j]
-                    if a > 0 and h[j] > l[j]:
-                        floor_ = h[j] - surplus / a
-                        if floor_ > int_tol and lo[cols[j]] < 1.0:
-                            if floor_ > 1.0 + int_tol:
-                                return False
-                            lo[cols[j]] = 1.0
-                            changed = True
-                    elif a < 0 and h[j] > l[j]:
-                        cap = l[j] + surplus / (-a)
-                        if cap < 1.0 - int_tol and hi[cols[j]] > 0.0:
-                            if cap < -int_tol:
-                                return False
-                            hi[cols[j]] = 0.0
-                            changed = True
-            if changed and np.any(lo[cols] > hi[cols]):
-                return False
-        if not changed:
-            break
-    return not np.any(lo > hi)
-
-
 # --- equilibration on the dense matrix -----------------------------------------
 
 def _pow2_reciprocal(values: np.ndarray) -> np.ndarray:

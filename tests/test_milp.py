@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_graph
+from conftest import EXACT_CASES, make_graph
 from impsched import milp
 from impsched.energy import DEFAULT_FREQUENCY_SET, DEFAULT_POWER_MODEL, FrequencySet, PowerModel
 from impsched.imprecision import imp_label
@@ -20,7 +20,7 @@ from impsched.schedlp import build_qos_lp
 from impsched.sweep import run_milp, run_proposed, epsilon_star, PlatformConfig
 from impsched.taskgraph import GeneratorParams, generate_random_graph, normalize_source
 from impsched.verify import WorkloadContract, verify_schedule
-from oracles import exhaustive_best_qos, tighten_loop
+from oracles import exhaustive_best_qos
 from test_lp import highs_objective
 
 PM = PowerModel(1e-27, 3.0, 0.0, 0.0)
@@ -223,15 +223,44 @@ class TestBranchAndBound:
         seen = [u for seq in masg.order for u in seq]
         assert sorted(seen) == sorted(gn.tasks)
 
+    def test_node_ends_sum_to_nodes(self):
+        # criterion 5's instances, seeded as there
+        fs = FrequencySet((DEFAULT_FREQUENCY_SET.freqs[0], DEFAULT_FREQUENCY_SET.freqs[4]))
+        totals = dict.fromkeys(("infeasible", "bound", "integral", "branched", "numerical"), 0)
+        for n, procs, seed, ratio in EXACT_CASES:
+            platform = PlatformConfig(DEFAULT_POWER_MODEL, fs, procs)
+            g = generate_random_graph(
+                GeneratorParams(n_tasks=n, mandatory_regime="man_mixed", seed=500 + seed),
+                f_max=fs.f_max,
+            )
+            gn = normalize_source(g)
+            eps = ratio * epsilon_star(g, platform)[0]
+            model = build_milp(gn, procs, fs, DEFAULT_POWER_MODEL, eps, gn.deadline)
+            prop = run_proposed(g, platform, eps)
+            seed_values = (
+                encode_solution(model, prop.assignment, prop.schedule) if prop.feasible else None
+            )
+            res, _, _ = solve_branch_and_bound(model, time_limit=240.0, seed_values=seed_values)
+            assert res.status in ("optimal", "infeasible")
+            assert set(res.ends) == set(totals)
+            assert sum(res.ends.values()) == res.nodes
+            # every node but the root was pushed by a branched node, two each
+            assert res.nodes <= 1 + 2 * res.ends["branched"]
+            for end, count in res.ends.items():
+                totals[end] += count
+        assert totals["numerical"] == 0
+        assert all(totals[end] > 0 for end in ("infeasible", "bound", "branched"))
+
 
 class TestNodeWarmStarts:
     def test_every_node_starts_from_its_parents_basis(self, monkeypatch):
-        # criterion 5's instance n = 5, K = 1, seed 510, whose per-processor
-        # flow rows are dependent
+        # a criterion-5-style instance, n = 7, K = 1, seed 509, whose
+        # per-processor flow rows are dependent and whose search loads
+        # about 540 node bases
         fs = FrequencySet((DEFAULT_FREQUENCY_SET.freqs[0], DEFAULT_FREQUENCY_SET.freqs[4]))
         platform = PlatformConfig(DEFAULT_POWER_MODEL, fs, 1)
         g = generate_random_graph(
-            GeneratorParams(n_tasks=5, mandatory_regime="man_mixed", seed=510), f_max=fs.f_max
+            GeneratorParams(n_tasks=7, mandatory_regime="man_mixed", seed=509), f_max=fs.f_max
         )
         gn = normalize_source(g)
         eps = 0.85 * epsilon_star(g, platform)[0]
@@ -262,6 +291,42 @@ class TestNodeWarmStarts:
 
 class _Recorded(Exception):
     """Stops a branch-and-bound once enough node LPs are recorded."""
+
+
+class TestBranchingRule:
+    def test_branches_on_a_fractional_clamp_bit_first(self, monkeypatch):
+        # n = 4, K = 1, seed 503 at 0.85 eps*: the root relaxation has a Pi or
+        # Y binary near 0.48 and a clamp bit X[u] at 0.25
+        fs = FrequencySet((DEFAULT_FREQUENCY_SET.freqs[0], DEFAULT_FREQUENCY_SET.freqs[4]))
+        platform = PlatformConfig(DEFAULT_POWER_MODEL, fs, 1)
+        g = generate_random_graph(
+            GeneratorParams(n_tasks=4, mandatory_regime="man_mixed", seed=503), f_max=fs.f_max
+        )
+        gn = normalize_source(g)
+        eps = 0.85 * epsilon_star(g, platform)[0]
+        model = build_milp(gn, 1, fs, DEFAULT_POWER_MODEL, eps, gn.deadline)
+        calls = []
+
+        def recording(comp, lower, upper, basis):
+            sol = solve_lp(comp, lower=lower, upper=upper, basis=basis)
+            calls.append((lower.copy(), upper.copy(), sol))
+            if len(calls) == 2:
+                raise _Recorded
+            return sol
+
+        monkeypatch.setattr(milp, "solve_lp", recording)
+        with pytest.raises(_Recorded):
+            solve_branch_and_bound(model, time_limit=60.0)
+        (root_lo, root_hi, root), (lo, hi, _) = calls
+        score = {b: min(root.values[b], 1.0 - root.values[b]) for b in model.binaries}
+        clamps = model.binaries[-len(model.task_order):]
+        assert all(b.startswith("X[") for b in clamps)
+        others = max(score[b] for b in model.binaries if b not in clamps)
+        assert 1e-6 < max(score[b] for b in clamps) < others - 0.1
+        # the first child differs from the root in one bound: its branching variable
+        comp = model.lp.compile()
+        (changed,) = np.nonzero((lo != root_lo) | (hi != root_hi))[0]
+        assert comp.var_names[changed] == max(clamps, key=lambda b: score[b])
 
 
 class TestNodeLPsAgainstHighs:
@@ -301,35 +366,3 @@ class TestNodeLPsAgainstHighs:
             assert sol.status == status
             if status == "optimal":
                 assert sol.objective == pytest.approx(ref, rel=1e-7)
-
-
-class TestTighten:
-    def test_matches_row_by_row_reference(self):
-        fs = FrequencySet((DEFAULT_FREQUENCY_SET.freqs[0], DEFAULT_FREQUENCY_SET.freqs[4]))
-        rng = np.random.default_rng(11)
-        verdicts = []
-        for n in (3, 4, 5):
-            for procs in (1, 2):
-                g = normalize_source(generate_random_graph(
-                    GeneratorParams(n_tasks=n, mandatory_regime="man_mixed", seed=600 + n),
-                    f_max=fs.f_max,
-                ))
-                model = build_milp(g, procs, fs, DEFAULT_POWER_MODEL, 1.0, g.deadline)
-                comp = model.lp.compile()
-                bin_idx = np.array([comp.var_index[b] for b in model.binaries])
-                rows = milp._binary_rows(comp, bin_idx)
-                for _ in range(40):
-                    k = int(rng.integers(0, 12))
-                    pick = rng.choice(bin_idx, size=k, replace=False)
-                    lo, hi = comp.lo.copy(), comp.hi.copy()
-                    lo[pick] = hi[pick] = rng.integers(0, 2, size=k)
-                    box = np.concatenate([lo, hi])
-                    ref_lo, ref_hi = lo.copy(), hi.copy()
-                    ok = milp._tighten(rows, lo, hi)
-                    assert ok == tighten_loop(comp, bin_idx, ref_lo, ref_hi)
-                    if ok:
-                        np.testing.assert_array_equal(lo, ref_lo)
-                        np.testing.assert_array_equal(hi, ref_hi)
-                    verdicts.append((ok, bool(np.any(np.concatenate([lo, hi]) != box))))
-        # feasible boxes with bounds tightened and boxes shown infeasible both occur
-        assert (True, True) in verdicts and any(not ok for ok, _ in verdicts)
