@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import functools
 import math
 import sys
@@ -374,9 +375,24 @@ def _read_graph(path: str) -> TaskGraph:
         raise UsageError(f"cannot read graph {path!r}: {exc}")
 
 
+def _unwritable(path, exc: OSError) -> UsageError:
+    return UsageError(f"cannot write {str(path)!r}: {exc.strerror or exc}")
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """path opened for writing; an OSError on it is a usage error naming it."""
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise _unwritable(path, exc)
+
+
 def _write_out(out: str | None, text: str) -> None:
     if out:
-        Path(out).write_text(text)
+        with _writing(out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -399,7 +415,10 @@ def cmd_generate(args) -> int:
     platform = _platform_from(args)
     _check_positive("--count", args.count)
     out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(out_dir, exc)
     for i in range(args.count):
         p = GeneratorParams(
             **{**params.__dict__, "seed": params.seed + i}
@@ -411,7 +430,7 @@ def cmd_generate(args) -> int:
                 f"generated graph violates invariants: {report.violations}"
             )
         path = out_dir / f"graph_{p.mandatory_regime}_s{p.seed}.tg"
-        path.write_text(serialize_task_graph(g))
+        _write_out(path, serialize_task_graph(g))
         print(path)
     return EXIT_OK
 
@@ -434,8 +453,8 @@ def cmd_epsilon_star(args) -> int:
             format_schedule("min-energy", model.gn, sched, asg, star, platform.procs),
         )
     if args.export_lp:
-        with open(args.export_lp, "w") as fh:
-            write_lp_file(model.lp, fh)  # the program the run solved
+        with _writing(args.export_lp) as fh:
+            write_lp_file(model.lp, fh)  # the program that decides eps*
     print(f"epsilon_star_J {_fmt(star)}")
     return EXIT_OK
 
@@ -450,7 +469,7 @@ def _run_single(method: str, args) -> int:
         out = run_proposed(g, platform, eps_max, model)
     elif method == "baseline":
         # eps* list-scheduled the same precise workloads, as in sweep_graph
-        model.gn, model.asg = star.gn, star.asg
+        model.gn, model.asg, model.prec = star.gn, star.asg, star.prec
         out = run_baseline(g, platform, eps_max, model)
     else:
         # the sweep's time-limit default and check, without its config file
@@ -479,7 +498,7 @@ def _run_single(method: str, args) -> int:
             ),
         )
     if getattr(args, "export_lp", None):
-        with open(args.export_lp, "w") as fh:
+        with _writing(args.export_lp) as fh:
             if method == "milp":
                 from .milp import build_milp
 
@@ -488,7 +507,7 @@ def _run_single(method: str, args) -> int:
                 )
                 write_lp_file(milp.lp, fh, binaries=milp.binaries)
             else:
-                # the program the run solved
+                # the program that decides the run
                 write_lp_file(model.program(eps_max), fh)
     return EXIT_OK
 

@@ -9,10 +9,13 @@ optimum is the sweep anchor) are that program under the labeling that keeps
 every task precise (imprecision.precise_workloads).
 
 One as-soon-as-possible walk at the frequency of lowest energy per cycle
-serves twice: as the crash basis every first solve starts from
-(asap_basis), and as the minimum-energy schedule of fixed per-task loads
-(min_energy_schedule), which a sweep row reports in place of the QoS
-program's vertex.
+(over the precedence rows of a graph and assignment, built once by
+precedence) serves three times: as the crash basis every first solve
+starts from (asap_basis); as the minimum-energy schedule of fixed per-task
+loads (min_energy_schedule), which a sweep row reports in place of the QoS
+program's vertex; and, where that schedule of the full loads meets the
+deadline, as the reason the QoS program is a fractional knapsack over the
+exits' optional cycles, which knapsack_loads solves without the LP.
 """
 
 from __future__ import annotations
@@ -35,7 +38,10 @@ __all__ = [
     "build_baseline_lp",
     "asap_basis",
     "chosen_loads",
+    "knapsack_loads",
     "min_energy_schedule",
+    "Precedence",
+    "precedence",
     "decode_schedule",
 ]
 
@@ -197,14 +203,20 @@ def build_baseline_lp(
     return build_qos_lp(g, precise_workloads(g), asg, pm, fs, eps_max, T_d)
 
 
-def _asap(
-    g: TaskGraph, asg: Assignment, durations: dict[str, float]
-) -> tuple[dict[str, float], dict[str, str | None]]:
-    """The as-soon-as-possible schedule of tasks with fixed durations on asg:
-    each task's start, and the name of the incoming prec/chain row that sets
-    it (None for a task with no incoming row). The walk visits the tasks in
-    a topological order of both row kinds; ties go to the first row."""
-    incoming = {u: [] for u in g.tasks}  # (row, predecessor, gap) per task
+@dataclass(frozen=True)
+class Precedence:
+    """The prec and chain rows of a graph on an assignment, as the
+    as-soon-as-possible walk reads them: per task its incoming rows (row
+    name, predecessor, gap) in row order, and the tasks in a topological
+    order of both row kinds. Built once per (graph, assignment) by
+    precedence()."""
+
+    order: tuple[str, ...]
+    incoming: dict[str, tuple[tuple[str, str, float], ...]]
+
+
+def precedence(g: TaskGraph, asg: Assignment) -> Precedence:
+    incoming = {u: [] for u in g.tasks}
     for e in g.edges:
         incoming[e.dst].append((f"prec[{e.src},{e.dst}]", e.src, e.comm))
     for k, seq in enumerate(asg.order):
@@ -215,26 +227,44 @@ def _asap(
         for _, u, _ in rows:
             succ[u].append(v)
     waiting = {u: len(rows) for u, rows in incoming.items()}
-    ready = [u for u in g.tasks if not waiting[u]]
-    start, binding, finish = {}, {}, {}
-    for u in ready:  # ready grows while the walk reads it: a topological order
-        start[u], binding[u] = 0.0, None
-        if incoming[u]:
-            row, p, gap = max(incoming[u], key=lambda r: finish[r[1]] + r[2])
-            start[u], binding[u] = finish[p] + gap, row
-        finish[u] = start[u] + durations[u]
+    order = [u for u in g.tasks if not waiting[u]]
+    for u in order:  # order grows while the loop reads it
         for v in succ[u]:
             waiting[v] -= 1
             if not waiting[v]:
-                ready.append(v)
+                order.append(v)
+    return Precedence(tuple(order), {u: tuple(rows) for u, rows in incoming.items()})
+
+
+def _asap(
+    prec: Precedence, durations: dict[str, float]
+) -> tuple[dict[str, float], dict[str, str | None]]:
+    """The as-soon-as-possible schedule of tasks with fixed durations: each
+    task's start, and the name of the incoming prec/chain row that sets it
+    (None for a task with no incoming row). Ties go to the first row."""
+    start, binding, finish = {}, {}, {}
+    for u in prec.order:
+        rows = prec.incoming[u]
+        if rows:
+            row, p, gap = max(rows, key=lambda r: finish[r[1]] + r[2])
+            start[u], binding[u] = finish[p] + gap, row
+        else:
+            start[u], binding[u] = 0.0, None
+        finish[u] = start[u] + durations[u]
     return start, binding
 
 
 def asap_basis(
-    lp: LinearProgram, g: TaskGraph, asg: Assignment, pm: PowerModel, fs: FrequencySet
+    lp: LinearProgram,
+    g: TaskGraph,
+    asg: Assignment,
+    pm: PowerModel,
+    fs: FrequencySet,
+    prec: Precedence | None = None,
 ) -> np.ndarray:
     """A crash basis (Bixby 1992) for a program that build_qos_lp or
     build_load_lp wrote for g and asg: solve_lp(lp, basis=...) starts there.
+    prec, if given, is precedence(g, asg).
 
     Every task runs at i*, the frequency of lowest energy per cycle, and
     starts as soon as its prec/chain rows allow; the incoming row that sets
@@ -266,7 +296,8 @@ def asap_basis(
         if f"o[{u}]" in col:
             vstat[col[f"o[{u}]"]] = 1
             load[u] += g.task(u).optional
-    _, binding = _asap(g, asg, {u: w / f_star for u, w in load.items()})
+    prec = precedence(g, asg) if prec is None else prec
+    _, binding = _asap(prec, {u: w / f_star for u, w in load.items()})
     for u, row in binding.items():
         if row is not None:
             vstat[col[f"S[{u}]"]] = 2
@@ -299,9 +330,11 @@ def min_energy_schedule(
     pm: PowerModel,
     fs: FrequencySet,
     T_d: float,
+    prec: Precedence | None = None,
 ) -> Schedule | None:
     """The minimum-energy schedule in which every task u executes loads[u]
     cycles on asg within T_d, where its closed form holds; else None.
+    prec, if given, is precedence(g, asg).
 
     That is the as-soon-as-possible schedule with every task at i*, the
     frequency of lowest energy per cycle c*. Every cycle costs at least c*,
@@ -314,7 +347,7 @@ def min_energy_schedule(
     i_star, c_star = cheapest_frequency(pm, fs)
     f_star = fs.freqs[i_star]
     durations = {u: loads[u] / f_star for u in g.tasks}
-    start, _ = _asap(g, asg, durations)
+    start, _ = _asap(precedence(g, asg) if prec is None else prec, durations)
     makespan = max(start[u] + durations[u] for u in g.tasks)
     if makespan > T_d:
         return None
@@ -325,6 +358,46 @@ def min_energy_schedule(
     return Schedule(
         start, cycles, dict(opt_cycles), durations, energy, _qos(g, opt_cycles), makespan
     )
+
+
+def knapsack_loads(
+    g: TaskGraph, wl: EffectiveWorkloads, pm: PowerModel, fs: FrequencySet, eps_max: float
+) -> tuple[dict[str, float], dict[str, float]] | None:
+    """The loads and executed optional cycles of an optimum of the QoS
+    program (build_qos_lp) under eps_max, where the as-soon-as-possible
+    schedule of the full loads (imprecision.scheduling_workloads) at i*
+    meets T_d; None where no schedule fits eps_max. The caller checks the
+    deadline condition, min_energy_schedule of the loads gives the schedule.
+
+    Why it is exact where that schedule meets T_d:
+    - loads at or below the full loads give an as-soon-as-possible schedule
+      no longer than the full one, so no timing row binds;
+    - every cycle costs at least c*, the energy per cycle at i*, and that
+      schedule runs every cycle at c*;
+    - so the program's feasible set in o is {c* (sum fixed + sum o) <= eps_max,
+      0 <= o <= O}: a fractional knapsack. The fixed loads are wl.total on
+      non-exit tasks and wl.mandatory_eff on exits. A budget is feasible
+      exactly when eps_max >= c* sum fixed, and the rest of it fills each
+      exit's optional cycles in decreasing order of the QoS weight
+      (1 - threshold) / optional, ties in task order.
+    """
+    _, c_star = cheapest_frequency(pm, fs)
+    exits = g.exits()
+    is_exit = set(exits)
+    loads = {
+        u: float(wl.mandatory_eff[u] if u in is_exit else wl.total[u]) for u in g.tasks
+    }
+    fixed = sum(loads.values())
+    if c_star * fixed > eps_max:
+        return None
+    spare = max(0.0, eps_max / c_star - fixed)
+    opt = {u: 0.0 if u in is_exit else float(wl.optional_fixed[u]) for u in g.tasks}
+    for u in sorted(exits, key=lambda u: -(1.0 - g.task(u).threshold) / g.task(u).optional):
+        take = min(float(g.task(u).optional), spare)
+        opt[u] = take
+        loads[u] += take
+        spare -= take
+    return loads, opt
 
 
 def _opt_cycles(g: TaskGraph, values: dict[str, float], fixed_opt) -> dict[str, float]:

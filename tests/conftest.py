@@ -1,5 +1,6 @@
 import pytest
 
+from impsched import sweep
 from impsched.energy import DEFAULT_FREQUENCY_SET, DEFAULT_POWER_MODEL
 from impsched.sweep import PlatformConfig
 from impsched.taskgraph import Edge, Task, TaskGraph
@@ -20,6 +21,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+def decide_by_lp(mp: pytest.MonkeyPatch) -> None:
+    """Through mp, make every model a runner or epsilon_star fills decide
+    its rows by the LP, as a model does whose full loads miss the deadline:
+    the same instances then exercise the LP path."""
+    fill = sweep._fill
+
+    def fill_without_closed_form(model, *args, **kwargs):
+        fill(model, *args, **kwargs)
+        model.full = None
+
+    mp.setattr(sweep, "_fill", fill_without_closed_form)
+
+
+@pytest.fixture
+def lp_fallback(monkeypatch):
+    decide_by_lp(monkeypatch)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ from impsched import cli, sweep
 from impsched.cli import main, parse_schedule
 from impsched.lp import solve_lp, write_lp_file
 from impsched.taskgraph import parse_task_graph, validate_graph
+from conftest import decide_by_lp
 
 
 def run(cmd: str) -> int:
@@ -202,14 +203,24 @@ class TestExportLp:
             return solve_lp(problem, *args, **kwargs)
 
         monkeypatch.setattr(sweep, "solve_lp", capture)
-        path = tmp_path / "run.lp"
         budget = "" if cmd == "epsilon-star" else "--eps-ratio 0.8"
+        closed = tmp_path / "closed.lp"
+        assert run(f"{cmd} {graph_file} {budget} --export-lp {closed}") == 0
+        # eps* is solved by its LP; the run's rows, decided in closed form,
+        # solve nothing
+        assert len(solved) == 1
+        # the program each run solves where its rows fall back to the LP
+        solved.clear()
+        decide_by_lp(monkeypatch)
+        path = tmp_path / "run.lp"
         assert run(f"{cmd} {graph_file} {budget} --export-lp {path}") == 0
         # eps* is solved first, the run's own program last
         assert len(solved) == (1 if cmd == "epsilon-star" else 2)
         want = io.StringIO()
         write_lp_file(solved[-1], want)
         assert path.read_text() == want.getvalue()
+        # the closed-form run exports the same program
+        assert closed.read_text() == path.read_text()
 
 
 class TestSweepCommand:
@@ -247,11 +258,13 @@ class TestSweepCommand:
         assert len(got) == len(want) == 57
         assert got == want
 
-    def test_recorded_csv_does_not_depend_on_the_vertex(self, tmp_path, monkeypatch):
+    def test_recorded_csv_does_not_depend_on_the_vertex(self, tmp_path, monkeypatch, lp_fallback):
         # the QoS programs have many optimal vertices, and from the slack
         # start their first solves reach other ones than from the crash; a
         # row reports the minimum-energy schedule of the workloads its solve
-        # chose, which is the same at every one of them
+        # chose, which is the same at every one of them. Every row and eps*
+        # is decided by its LP here (lp_fallback): the recorded CSV, written
+        # in closed form, is the LP's too
         crash = sweep.asap_basis
         starts = []
 
@@ -401,3 +414,36 @@ class TestUsage:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "cmd, target",
+        [
+            ("generate --n 5 --out {target}", "{file}"),
+            ("label {graph} --out {target}", "{missing}"),
+            ("schedule {graph} --eps-ratio 0.9 --out {target}", "{missing}"),
+            ("schedule {graph} --eps-ratio 0.9 --export-lp {target}", "{missing}"),
+            ("baseline {graph} --eps-ratio 0.9 --out {target}", "{missing}"),
+            ("milp {tiny} --eps-ratio 0.9 --export-lp {target}", "{missing}"),
+            ("epsilon-star {graph} --export-lp {target}", "{missing}"),
+            ("epsilon-star {graph} --out {target}", "{missing}"),
+            ("sweep {graph} --out {target}", "{missing}"),
+            ("sweep {graph} --out {target}", "{directory}"),
+        ],
+    )
+    def test_is_one_line_error(self, cmd, target, graph_file, tmp_path, capsys):
+        tiny = tmp_path / "tiny"
+        assert run(f"generate --n 3 --count 1 --seed 5 --out {tiny}") == 0
+        (tiny_graph,) = tiny.glob("*.tg")
+        existing = tmp_path / "existing.txt"
+        existing.write_text("kept\n")
+        target = target.format(
+            file=existing, missing=tmp_path / "missing" / "x.out", directory=tmp_path
+        )
+        capsys.readouterr()
+        assert run(cmd.format(graph=graph_file, tiny=tiny_graph, target=target)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target!r}: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert existing.read_text() == "kept\n"

@@ -303,21 +303,16 @@ def scheduling_lps(n):
 
 
 def scheduling_programs(n):
-    """The LinearPrograms of scheduling_lps(n), as the pipeline solved them."""
-    captured = []
-
-    def capture(problem, *args, **kwargs):
-        captured.append(problem)
-        return solve_lp(problem, *args, **kwargs)
-
+    """The LinearPrograms of scheduling_lps(n), each built by the model the
+    pipeline's run filled: the program that decides the run, and that the
+    run solves where the closed form does not hold."""
     g = generate_random_graph(GeneratorParams(n_tasks=n, mandatory_regime="man_low", seed=7))
     platform = sweep.default_platform()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep, "solve_lp", capture)
-        star, _, _ = sweep.epsilon_star(g, platform)
-        assert sweep.run_proposed(g, platform, 0.8 * star).feasible
-        assert sweep.run_baseline(g, platform, 0.9 * star).feasible
-    return captured
+    star_model, qos, base = sweep.MethodModel(), sweep.MethodModel(), sweep.MethodModel()
+    star, _, _ = sweep.epsilon_star(g, platform, star_model)
+    assert sweep.run_proposed(g, platform, 0.8 * star, qos).feasible
+    assert sweep.run_baseline(g, platform, 0.9 * star, base).feasible
+    return [star_model.lp, qos.program(0.8 * star), base.program(0.9 * star)]
 
 
 def equilibrated(comp):
@@ -368,6 +363,9 @@ def redundant_row_lp():
 
 class TestEtaFile:
     def test_matches_solve_past_a_full_eta_file(self, monkeypatch):
+        # a cold solve of this program takes 270 pivots; only the core's
+        # own pivots are counted
+        comp = scheduling_lps(80)[0]
         pivots = []
         pivot = _Simplex._pivot
 
@@ -376,7 +374,6 @@ class TestEtaFile:
             pivot(self, r, q, w)
 
         monkeypatch.setattr(_Simplex, "_pivot", counting)
-        comp = scheduling_lps(38)[0]
         A, b, c, lo, hi = equilibrated(comp)
         core = _Simplex(A, b, comp.senses, c, lo, hi)
         # stop mid-run: the iteration limit leaves the core as it stood
@@ -503,10 +500,11 @@ class TestWarmStart:
             basis = warm.basis
         assert proved_infeasible >= 2
 
-    def test_reduced_cost_tolerance_is_relative(self):
+    def test_reduced_cost_tolerance_is_relative(self, lp_fallback):
         # the equilibrated QoS costs peak near 1.4e-6; a tolerance of 1e-9
         # in absolute terms let a reduced cost of 5.3e-10 on a column with
-        # a range of 6e4 pass as optimal, 1.8e-5 short in QoS
+        # a range of 6e4 pass as optimal, 1.8e-5 short in QoS. The rows are
+        # decided by the LP (lp_fallback), so the walk solves it warm.
         g = generate_random_graph(GeneratorParams(n_tasks=38, mandatory_regime="man_low", seed=7))
         platform = sweep.default_platform()
         star, _, _ = sweep.epsilon_star(g, platform)

@@ -164,7 +164,8 @@ class TestMinEnergySchedule:
 
     @pytest.mark.parametrize("n", [10, 44])
     @pytest.mark.parametrize("regime", sorted(MANDATORY_REGIMES))
-    def test_reaches_the_optimum_of_the_chosen_loads(self, regime, n):
+    def test_reaches_the_optimum_of_the_chosen_loads(self, regime, n, lp_fallback):
+        # the QoS program decides the row (lp_fallback), so its solve chose the loads
         platform = default_platform()
         pm, fs = platform.power, platform.freqs
         g = generate_random_graph(GeneratorParams(n_tasks=n, mandatory_regime=regime, seed=n))
@@ -364,11 +365,11 @@ class TestOneBuilder:
         baseline = MethodModel()
         run_baseline(g, platform, eps, baseline)
         assert baseline.asg == asg
-        programs.append((baseline.lp, baseline_ref))
+        programs.append((baseline.program(eps), baseline_ref))
         proposed = MethodModel()
         run_proposed(g, platform, eps, proposed)
         programs.append(
-            (proposed.lp, qos_lp_reference(gn, wl, proposed.asg, pm, fs, eps, T_d))
+            (proposed.program(eps), qos_lp_reference(gn, wl, proposed.asg, pm, fs, eps, T_d))
         )
         for lp, reference in programs:
             assert same_program(lp.compile(), reference.compile())

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import types
 import weakref
 
@@ -10,7 +11,12 @@ from impsched import sweep
 from impsched.imprecision import imp_label, scheduling_workloads
 from impsched.listsched import heft_assign
 from impsched.lp import CompiledLP, LinearProgram, _scaling, solve_lp
-from impsched.schedlp import asap_basis, build_baseline_lp, build_qos_lp
+from impsched.schedlp import (
+    asap_basis,
+    build_baseline_lp,
+    build_qos_lp,
+    min_energy_schedule,
+)
 from impsched.sweep import (
     CSV_HEADER,
     MethodModel,
@@ -23,8 +29,10 @@ from impsched.sweep import (
     sweep_graph,
     sweep_ratios,
     InfeasibleError,
+    PipelineError,
 )
 from impsched.taskgraph import GeneratorParams, generate_random_graph, normalize_source
+from conftest import decide_by_lp
 from test_lp import highs_objective
 
 
@@ -176,9 +184,10 @@ class TestMethodRunners:
     @pytest.mark.parametrize(
         "regime,n,seed", [("man_high", 44, 246643601), ("man_mixed", 60, 15)]
     )
-    def test_baseline_at_eps_star_passes_recheck(self, platform4, regime, n, seed):
+    def test_baseline_at_eps_star_passes_recheck(self, platform4, regime, n, seed, lp_fallback):
         # the optimal basis leaves an N[u, k] about 1e-7 below zero in scaled
-        # units, which its column scale of 2^10 pushes past the re-check
+        # units, which its column scale of 2^10 pushes past the re-check; the
+        # row is decided by the LP (lp_fallback)
         g = generate_random_graph(
             GeneratorParams(n_tasks=n, mandatory_regime=regime, seed=seed)
         )
@@ -189,7 +198,8 @@ class TestMethodRunners:
 
 class TestWarmSweep:
     @pytest.mark.parametrize("regime,n,seed", [("man_low", 38, 7), ("man_high", 30, 3)])
-    def test_rows_match_cold_runs_and_highs(self, platform4, regime, n, seed):
+    def test_rows_match_cold_runs_and_highs(self, platform4, regime, n, seed, lp_fallback):
+        # every row, the cold runs' too, is decided by the LP (lp_fallback)
         g = generate_random_graph(GeneratorParams(n_tasks=n, mandatory_regime=regime, seed=seed))
         star, _, _ = epsilon_star(g, platform4)
         solves = []
@@ -313,6 +323,8 @@ class TestModelReuse:
 
         kept = []
         with pytest.MonkeyPatch.context() as mp:
+            # the rows are decided by the LP, so the walk solves one
+            decide_by_lp(mp)
             mp.setattr(sweep, "solve_lp", capture)
             mp.setattr(sweep, "run_proposed", keeping(run_proposed))
             mp.setattr(sweep, "run_baseline", keeping(run_baseline))
@@ -335,7 +347,7 @@ class TestModelReuse:
             assert late.A is not during.A and late._scaled is None
             assert same_program(late, fresh)
 
-    def test_rows_equal_a_walk_built_cold_at_every_row(self, walk):
+    def test_rows_equal_a_walk_built_cold_at_every_row(self, walk, lp_fallback):
         g, platform, star, rows = walk.g, walk.platform, walk.star, walk.rows
         runners = {"proposed": run_proposed, "baseline": run_baseline}
         basis = {}
@@ -360,7 +372,7 @@ class TestModelReuse:
         assert len(walk.inverses) == len(walk.solved)
         assert all(ref() is None for ref in walk.inverses)
 
-    def test_cold_outcome_holds_no_program(self, walk):
+    def test_cold_outcome_holds_no_program(self, walk, lp_fallback):
         out = run_proposed(walk.g, walk.platform, walk.star)
         assert out.feasible and out.labeling is not None
         held = reachable(out)
@@ -370,3 +382,184 @@ class TestModelReuse:
             or (isinstance(o, np.ndarray) and o.ndim > 1)
         ]
 
+
+
+def benchmark_graphs():
+    """The 24 graphs of the benchmark: the sweep workload's four (n 38-44,
+    one per regime) and the 20 of the acceptance suite (n 10-38)."""
+    graphs = [
+        generate_random_graph(GeneratorParams(n_tasks=n, mandatory_regime=regime, seed=s))
+        for regime, n, s in (
+            ("man_low", 38, 7), ("man_med", 40, 3), ("man_mixed", 42, 17), ("man_high", 44, 19)
+        )
+    ]
+    for ri, regime in enumerate(("man_low", "man_med", "man_high", "man_mixed")):
+        for si, n in enumerate((10, 14, 19, 27, 38)):
+            graphs.append(generate_random_graph(
+                GeneratorParams(n_tasks=n, mandatory_regime=regime, seed=100 + 10 * ri + si)
+            ))
+    return graphs
+
+
+class TestClosedForm:
+    """Where the as-soon-as-possible schedule of a model's full loads meets
+    the deadline, rows are decided without an LP, and eps* must equal its
+    closed form; each must equal the optimum of the program the LP path
+    would solve."""
+
+    def test_rows_and_eps_star_match_the_lp_and_highs(self, platform4):
+        rows = 0
+        for g in benchmark_graphs():
+            star_model = MethodModel()
+            star, _, _ = epsilon_star(g, platform4, star_model)
+            assert star_model.full is not None
+            assert star == pytest.approx(star_model.full.energy, rel=1e-9)
+            sol = solve_lp(star_model.lp)
+            status, ref = highs_objective(star_model.lp.compile())
+            assert sol.optimal and status == "optimal"
+            assert star == pytest.approx(sol.objective, rel=1e-9)
+            assert star == pytest.approx(ref, rel=1e-9)
+            for method, runner in (("proposed", run_proposed), ("baseline", run_baseline)):
+                model, basis = MethodModel(), None
+                for ratio in sweep_ratios(0.05):
+                    eps = ratio * star
+                    out = runner(g, platform4, eps, model)
+                    assert out.decided_by == "closed-form"
+                    if model.compiled is None:
+                        model.compiled = model.lp.compile()
+                    program = model.program(eps)
+                    sol = solve_lp(program, basis=basis)
+                    basis = sol.basis if sol.basis is not None else basis
+                    status, ref = highs_objective(program.compile())
+                    assert out.feasible == sol.optimal == (status == "optimal"), (method, ratio)
+                    if out.feasible:
+                        assert out.qos == pytest.approx(sol.objective, rel=1e-9)
+                        assert out.qos == pytest.approx(ref, rel=1e-9)
+                    rows += 1
+        assert rows == 960
+
+    def test_eps_star_that_disagrees_with_the_closed_form_raises(self, platform4, monkeypatch):
+        fill = sweep._fill
+
+        def off_by_a_millionth(model, *args, **kwargs):
+            fill(model, *args, **kwargs)
+            model.full = dataclasses.replace(model.full, energy=model.full.energy * (1 + 1e-6))
+
+        monkeypatch.setattr(sweep, "_fill", off_by_a_millionth)
+        g = generate_random_graph(GeneratorParams(n_tasks=14, mandatory_regime="man_low", seed=4))
+        with pytest.raises(PipelineError, match="disagree"):
+            epsilon_star(g, platform4)
+
+    def test_closed_form_rows_build_and_solve_no_lp(self, platform4, monkeypatch):
+        # eps* is solved by its LP, so it is given; the rows then touch none
+        g = generate_random_graph(GeneratorParams(n_tasks=38, mandatory_regime="man_low", seed=7))
+        star, _, _ = epsilon_star(g, platform4)
+        calls = []
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called")
+            return call
+
+        for name in ("build_qos_lp", "build_baseline_lp", "build_min_energy_lp",
+                     "build_load_lp", "solve_lp"):
+            monkeypatch.setattr(sweep, name, refuse(name))
+        kept = []
+
+        def keeping(runner):
+            def run(*args):
+                kept.append(runner(*args))
+                return kept[-1]
+            return run
+
+        monkeypatch.setattr(sweep, "run_proposed", keeping(run_proposed))
+        monkeypatch.setattr(sweep, "run_baseline", keeping(run_baseline))
+        rows = sweep_graph("g", g, platform4, SweepConfig(), eps_star_value=star)
+        assert calls == [] and len(kept) == len(rows) > 0
+        assert {out.decided_by for out in kept} == {"closed-form"}
+        assert any(not r.feasible for r in rows)
+
+
+def fixed_loads(model):
+    """The loads a model's rows always run: exits without optional work."""
+    exits, wl = set(model.gn.exits()), model.workloads
+    return {
+        u: float(wl.mandatory_eff[u] if u in exits else wl.total[u]) for u in model.gn.tasks
+    }
+
+
+class TestLpFallback:
+    """A deadline that the full loads' as-soon-as-possible schedule misses:
+    eps* and every row go to the LP."""
+
+    @pytest.fixture(scope="class")
+    def tight(self):
+        """Per method, the graph under a deadline between the as-soon-as-possible
+        makespans of the method's fixed loads and of its full loads (for the
+        baseline, also below eps*'s), and eps* under the graph's own deadline."""
+        platform = default_platform()
+        pm, fs = platform.power, platform.freqs
+        g = generate_random_graph(GeneratorParams(n_tasks=38, mandatory_regime="man_low", seed=7))
+        star_model = MethodModel()
+        star, _, _ = epsilon_star(g, platform, star_model)
+        graphs = {}
+        for method, runner in (("proposed", run_proposed), ("baseline", run_baseline)):
+            model = MethodModel()
+            runner(g, platform, star, model)
+            full = model.full.makespan
+            if method == "baseline":
+                full = min(full, star_model.full.makespan)
+            fixed = min_energy_schedule(
+                model.gn, model.asg, fixed_loads(model), {u: 0.0 for u in model.gn.tasks},
+                pm, fs, math.inf,
+            ).makespan
+            assert fixed < full
+            graphs[method] = g.with_deadline(0.5 * (fixed + full))
+        return platform, graphs, star
+
+    def test_eps_star_falls_back_and_matches_highs(self, tight, monkeypatch):
+        platform, graphs, loose_star = tight
+        g = graphs["baseline"]
+        solved = []
+
+        def capture(problem, *args, **kwargs):
+            solved.append(problem)
+            return solve_lp(problem, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "solve_lp", capture)
+        model = MethodModel()
+        star, sched, _ = epsilon_star(g, platform, model)
+        assert model.full is None and solved == [model.lp]
+        status, ref = highs_objective(model.lp.compile())
+        assert status == "optimal" and star == pytest.approx(ref, rel=1e-9)
+        # the deadline binds: the precise loads no longer all run at c*
+        assert star > loose_star * (1 + 1e-6) and sched.energy == pytest.approx(star, rel=1e-9)
+
+    @pytest.mark.parametrize("method", ["proposed", "baseline"])
+    def test_rows_are_decided_by_the_lp_and_match_highs(self, tight, method, monkeypatch):
+        platform, graphs, _ = tight
+        g = graphs[method]
+        star, _, _ = epsilon_star(g, platform)
+        solved = []
+
+        def capture(problem, *args, **kwargs):
+            solved.append(problem)
+            return solve_lp(problem, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "solve_lp", capture)
+        runner = {"proposed": run_proposed, "baseline": run_baseline}[method]
+        model, feasible = MethodModel(), []
+        for ratio in sweep_ratios(0.05):
+            eps = ratio * star
+            out = runner(g, platform, eps, model)
+            assert model.full is None and out.decided_by == "lp"
+            # the row's QoS program was solved, and is the model's program
+            program = [p for p in solved if isinstance(p, LinearProgram)][-1]
+            assert same_program(program.compile(), model.program(eps).compile())
+            status, ref = highs_objective(program.compile())
+            assert out.feasible == (status == "optimal"), ratio
+            if out.feasible:
+                assert out.qos == pytest.approx(ref, rel=1e-9)
+            feasible.append(out.feasible)
+        assert True in feasible and False in feasible
