@@ -3,10 +3,9 @@
 The solver is a dense revised simplex with power-of-two equilibration, so
 cycle counts (~1e6) and seconds (~1e-3) coexist in one tableau; a CompiledLP
 keeps its equilibration, so repeated solves of one program (branch-and-bound
-nodes) scale it once. LinearProgram.with_rhs makes a copy of a program with
-one right-hand side changed (an energy sweep's budget); while the caller
-keeps the original's CompiledLP, the copy compiles to one that shares its
-matrices and scaling, and afterwards it compiles from its own rows.
+nodes) scale it once. CompiledLP.copy_with_rhs makes a copy of a compiled
+program with one right-hand side changed (a sweep row's energy budget); the
+copy shares the original's matrices and scaling.
 
 The basis inverse is kept in product form: a dense inverse of the basis at
 the last refactorization times an eta file of rank-1 pivot updates, so a
@@ -18,10 +17,10 @@ solve ends on the eta file as it stands unless it fails a residual check,
 and refactors only then. A CompiledLP keeps the last inverse computed for
 it, with its basis, and neither bounds nor right-hand sides enter an
 inverse: a warm solve that starts where an earlier solve of the same matrix
-factored (a sweep row after a row that took no pivot, a branch-and-bound
-child) adopts that inverse, so each basis is factored once. Solutions are
-re-checked against the original data before being reported; numerical
-trouble is surfaced as a status, never silently.
+factored (a sweep row from the crash an earlier row started from, a
+branch-and-bound child) adopts that inverse, so each basis is factored
+once. Solutions are re-checked against the original data before being
+reported; numerical trouble is surfaced as a status, never silently.
 
 solve_lp requires every column to have a finite bound on the side its cost
 prefers (the upper bound when the cost, in min sense, is negative, else the
@@ -54,7 +53,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
@@ -96,9 +94,6 @@ class LinearProgram:
         self.maximize = False
         self._obj: dict[str, float] = {}
         self.objective_constant = 0.0
-        # with_rhs copies: (weak reference to the original's CompiledLP, the
-        # changed row's index); any later change to the copy drops it
-        self._shares: tuple[weakref.ref, int] | None = None
 
     @property
     def n_vars(self) -> int:
@@ -131,7 +126,6 @@ class LinearProgram:
             raise ValueError(f"duplicate variable {name!r}")
         if not lo <= hi:
             raise ValueError(f"variable {name!r}: lower bound exceeds upper bound")
-        self._shares = None
         self._var_index[name] = len(self._var_names)
         self._var_names.append(name)
         self._lo.append(float(lo))
@@ -148,7 +142,6 @@ class LinearProgram:
                 raise ValueError(f"row {name!r} references unknown variable {v!r}")
         if not math.isfinite(rhs):
             raise ValueError(f"row {name!r}: non-finite right-hand side")
-        self._shares = None
         self._row_index[name] = len(self._row_names)
         self._row_names.append(name)
         self._rows.append((dict(coeffs), sense, float(rhs)))
@@ -160,7 +153,6 @@ class LinearProgram:
         for v in coeffs:
             if v not in self._var_index:
                 raise ValueError(f"objective references unknown variable {v!r}")
-        self._shares = None
         self.maximize = sense == "max"
         self._obj = dict(coeffs)
         self.objective_constant = float(constant)
@@ -169,39 +161,7 @@ class LinearProgram:
         """The right-hand side of a row."""
         return self._rows[self._row_index[row]][2]
 
-    def with_rhs(self, row: str, rhs: float, compiled: "CompiledLP | None"):
-        """A copy of this program with the right-hand side of one row replaced.
-
-        The copy shares this program's row coefficient dicts. compiled, unless
-        None, is this program's compile(): while something else keeps it
-        alive, the copy's compile() shares its arrays and scaling and carries
-        only its own b; once it is gone, the copy compiles from its own rows.
-        """
-        i = self._row_index[row]
-        if not math.isfinite(rhs):
-            raise ValueError(f"row {row!r}: non-finite right-hand side")
-        lp = LinearProgram()
-        lp._var_names, lp._var_index = list(self._var_names), dict(self._var_index)
-        lp._lo, lp._hi = list(self._lo), list(self._hi)
-        lp._row_names, lp._row_index = list(self._row_names), dict(self._row_index)
-        lp._rows = list(self._rows)
-        coeffs, sense, _ = lp._rows[i]
-        lp._rows[i] = (coeffs, sense, float(rhs))
-        lp.maximize, lp._obj = self.maximize, dict(self._obj)
-        lp.objective_constant = self.objective_constant
-        if compiled is not None:
-            lp._shares = weakref.ref(compiled), i
-        return lp
-
     def compile(self) -> "CompiledLP":
-        base = self._shares[0]() if self._shares is not None else None
-        if base is not None:
-            i = self._shares[1]
-            b = base.b.copy()
-            b[i] = self._rows[i][2]
-            comp = dataclasses.replace(base, b=b)
-            comp._scaled = _scaling(base)
-            return comp
         nv, nr = self.n_vars, self.n_rows
         index = self._var_index
         coeffs, senses, rhs = zip(*self._rows) if nr else ((), (), ())
@@ -253,6 +213,18 @@ class CompiledLP:
     # (see _scaling); dataclasses.replace starts a new program with an empty
     # cache
     _scaled: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def copy_with_rhs(self, row: str, rhs: float) -> "CompiledLP":
+        """A copy with the right-hand side of one row replaced. It shares A
+        and every other array but b, and the cache of _scaling, whose last
+        basis inverse serves both: no right-hand side enters an inverse."""
+        if not math.isfinite(rhs):
+            raise ValueError(f"row {row!r}: non-finite right-hand side")
+        b = self.b.copy()
+        b[self.row_names.index(row)] = rhs
+        copy = dataclasses.replace(self, b=b)
+        copy._scaled = _scaling(self)
+        return copy
 
 
 @dataclass

@@ -16,18 +16,19 @@ eps* is still solved by its LP, once per graph: where the closed form holds,
 the two must agree, which checks on every graph the premise that the rows'
 closed form rests on.
 
-Elsewhere a row falls back to the LP, built on first need. Between two
-ratios only the energy budget changes, so each row re-solves the model's LP
-with only the `energy` right-hand side changed (LinearProgram.with_rhs),
-sharing the compiled matrices and scaling, from the previous row's final
-basis (see lp.solve_lp); the first solve, and eps*'s, starts from the crash
-schedlp.asap_basis. The walk drops the compiled arrays when it ends, so
-nothing a row returns or was given holds a dense matrix afterwards. The QoS
-program has many optimal vertices, and the schedule at the vertex depends
-on the simplex's path. So a row reports, of the workloads its solve chose,
-the schedule of minimum energy: the as-soon-as-possible schedule again
-where it meets the deadline, else the optimum of the minimum-energy program
-of those workloads.
+Elsewhere a row falls back to the LP. The model compiles its QoS program
+and builds the crash schedlp.asap_basis once, on the first such row; each
+row then solves, from that crash, a copy of the compiled program with only
+the `energy` right-hand side replaced (CompiledLP.copy_with_rhs), which
+shares the compiled matrices, the scaling and the crash's cached inverse.
+So a row depends on its model and budget only, never on an earlier row's
+basis. The walk drops the compiled arrays when it ends, so nothing a row
+returns or was given holds a dense matrix afterwards. The QoS program has
+many optimal vertices, and the schedule at the vertex depends on the
+simplex's path. So a row reports, of the workloads its solve chose, the
+schedule of minimum energy: the as-soon-as-possible schedule again where it
+meets the deadline, else the optimum of the minimum-energy program of those
+workloads.
 """
 
 from __future__ import annotations
@@ -119,6 +120,8 @@ class SweepConfig:
     def __post_init__(self):
         if not 0.0 < self.resolution < 1.0:
             raise ValueError("resolution must lie in (0, 1)")
+        if not self.methods:
+            raise ValueError("no method to sweep")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -150,9 +153,11 @@ class MethodModel:
 
     full is the minimum-energy schedule of the full loads, None where their
     as-soon-as-possible schedule misses the deadline: then, and only then,
-    rows solve the LP. lp is built on first need; program() gives it a
-    budget. compiled (the program's compile()) and basis are an LP walk's:
-    while compiled is set, every budget's program shares its arrays."""
+    rows solve the LP. lp is built on first need, with a zero budget;
+    program(eps_max) builds the program at a row's budget. compiled (lp's
+    compile()) and crash (schedlp.asap_basis of lp) are set on the first row
+    that solves the LP: every row solves compiled at its own budget from
+    crash."""
 
     gn: TaskGraph | None = None
     asg: Assignment | None = None
@@ -165,28 +170,28 @@ class MethodModel:
     method: str = ""
     platform: PlatformConfig | None = None
     compiled: CompiledLP | None = None
-    basis: object = None  # the next solve's start: the crash, then the last final basis
+    crash: object = None  # the start of every LP row's solve
     _lp: LinearProgram | None = field(default=None, repr=False)
 
     @property
     def lp(self) -> LinearProgram:
         """The method's LP. A QoS program's energy budget is 0 here; the
-        rows solve program(eps_max). eps*'s program has no budget."""
+        rows solve it at their own. eps*'s program has no budget."""
         if self._lp is None:
-            gn, asg, T_d = self.gn, self.asg, self.gn.deadline
-            pm, fs = self.platform.power, self.platform.freqs
-            # one program under three names, so that a trace tells the methods apart
-            if self.method == "proposed":
-                self._lp = build_qos_lp(gn, self.workloads, asg, pm, fs, 0.0, T_d)
-            elif self.method == "baseline":
-                self._lp = build_baseline_lp(gn, asg, pm, fs, 0.0, T_d)
-            else:
-                self._lp = build_min_energy_lp(gn, asg, pm, fs, T_d)
+            self._lp = self.program(0.0)
         return self._lp
 
     def program(self, eps_max: float) -> LinearProgram:
-        """The method's LP under the energy budget eps_max."""
-        return self.lp.with_rhs("energy", eps_max, self.compiled)
+        """The method's LP built under the energy budget eps_max, the
+        program a row at eps_max solves (eps*'s has no budget)."""
+        gn, asg, T_d = self.gn, self.asg, self.gn.deadline
+        pm, fs = self.platform.power, self.platform.freqs
+        # one program under three names, so that a trace tells the methods apart
+        if self.method == "proposed":
+            return build_qos_lp(gn, self.workloads, asg, pm, fs, eps_max, T_d)
+        if self.method == "baseline":
+            return build_baseline_lp(gn, asg, pm, fs, eps_max, T_d)
+        return build_min_energy_lp(gn, asg, pm, fs, T_d)
 
 
 @dataclass(frozen=True)
@@ -338,17 +343,14 @@ def _run(method: str, g, platform, eps_max, model: MethodModel | None) -> Method
 
 def _solve_row(model: MethodModel, method: str, platform, eps_max):
     """The loads and optional cycles a solve of the QoS program at eps_max
-    chose (schedlp.chosen_loads), or None where it is infeasible. The first
-    solve on a model starts from the crash (schedlp.asap_basis), every later
-    one from the previous row's final basis."""
+    chose (schedlp.chosen_loads), or None where it is infeasible. Every
+    solve starts from the model's crash (schedlp.asap_basis), so a row
+    depends on its model and budget only."""
     gn, asg = model.gn, model.asg
     if model.compiled is None:
         model.compiled = model.lp.compile()
-    if model.basis is None:
-        model.basis = asap_basis(model.lp, gn, asg, platform.power, platform.freqs, model.prec)
-    sol = solve_lp(model.program(eps_max), basis=model.basis)
-    if sol.basis is not None:
-        model.basis = sol.basis
+        model.crash = asap_basis(model.lp, gn, asg, platform.power, platform.freqs, model.prec)
+    sol = solve_lp(model.compiled.copy_with_rhs("energy", eps_max), basis=model.crash)
     if sol.status == "infeasible":
         return None
     if not sol.optimal:
@@ -359,10 +361,7 @@ def _solve_row(model: MethodModel, method: str, platform, eps_max):
 def _min_energy(gn, asg, loads, opt, platform, method, prec) -> Schedule:
     """The minimum-energy schedule of fixed loads within the deadline: the
     closed form where it holds (schedlp.min_energy_schedule), else the
-    minimum-energy program of the loads from its crash. That program goes to
-    solve_lp compiled, as branch-and-bound's node programs do, so that the
-    only LinearProgram a row hands solve_lp is its QoS program: a tracer
-    may re-solve it and compare the objective with the row's QoS."""
+    minimum-energy program of the loads from its crash."""
     pm, fs, T_d = platform.power, platform.freqs, gn.deadline
     sched = min_energy_schedule(gn, asg, loads, opt, pm, fs, T_d, prec)
     if sched is not None:
@@ -379,8 +378,8 @@ def run_proposed(
 ) -> MethodOutcome:
     """Labeling, list scheduling, then the QoS-maximizing LP.
 
-    model is a walk's MethodModel, empty on its first call: that call builds
-    it, later calls re-solve it at their own budget from its last basis.
+    model is a walk's MethodModel, empty on its first call: that call fills
+    it, later calls decide the same program at their own budget.
     Without one, the call builds a model of its own and keeps nothing of it.
     """
     return _run("proposed", g, platform, eps_max, model)
@@ -496,7 +495,7 @@ def sweep_graph(
                     if beyond >= PAST_INFEASIBLE:
                         break
         finally:
-            # the rows' programs compile from their own rows from here on
+            # no dense matrix outlives the walk
             model.compiled = None
     rows.sort(key=lambda r: (r.graph_id, r.method, -r.eps_ratio))
     return rows

@@ -6,9 +6,10 @@ import pytest
 
 from impsched import cli, sweep
 from impsched.cli import main, parse_schedule
-from impsched.lp import solve_lp, write_lp_file
+from impsched.lp import LinearProgram, solve_lp, write_lp_file
 from impsched.taskgraph import parse_task_graph, validate_graph
 from conftest import decide_by_lp
+from test_sweep import same_program
 
 
 def run(cmd: str) -> int:
@@ -202,7 +203,14 @@ class TestExportLp:
             solved.append(problem)
             return solve_lp(problem, *args, **kwargs)
 
+        exported = []
+
+        def export(lp, *args, **kwargs):
+            exported.append(lp)
+            return write_lp_file(lp, *args, **kwargs)
+
         monkeypatch.setattr(sweep, "solve_lp", capture)
+        monkeypatch.setattr(cli, "write_lp_file", export)
         budget = "" if cmd == "epsilon-star" else "--eps-ratio 0.8"
         closed = tmp_path / "closed.lp"
         assert run(f"{cmd} {graph_file} {budget} --export-lp {closed}") == 0
@@ -214,10 +222,13 @@ class TestExportLp:
         decide_by_lp(monkeypatch)
         path = tmp_path / "run.lp"
         assert run(f"{cmd} {graph_file} {budget} --export-lp {path}") == 0
-        # eps* is solved first, the run's own program last
+        # eps* is solved first, the run's own program last: eps*'s as built,
+        # a row's compiled at the row's budget
         assert len(solved) == (1 if cmd == "epsilon-star" else 2)
+        ran = solved[-1].compile() if isinstance(solved[-1], LinearProgram) else solved[-1]
+        assert same_program(exported[-1].compile(), ran)
         want = io.StringIO()
-        write_lp_file(solved[-1], want)
+        write_lp_file(exported[-1], want)
         assert path.read_text() == want.getvalue()
         # the closed-form run exports the same program
         assert closed.read_text() == path.read_text()
@@ -234,6 +245,14 @@ class TestSweepCommand:
 
     def test_unknown_method_usage_error(self, graph_file, tmp_path):
         assert run(f"sweep {graph_file} --methods wat") == 1
+
+    @pytest.mark.parametrize("methods", ["''", ","])
+    def test_no_method_is_usage_error(self, methods, graph_file, tmp_path, capsys):
+        # nothing to solve: one error line and no CSV, not an infeasible-only result
+        csv = tmp_path / "sweep.csv"
+        assert run(f"sweep {graph_file} --methods {methods} --out {csv}") == 1
+        assert capsys.readouterr().err == "error: no method to sweep\n"
+        assert not csv.exists()
 
     @staticmethod
     def golden_rows(tmp_path):
@@ -260,8 +279,8 @@ class TestSweepCommand:
 
     def test_recorded_csv_does_not_depend_on_the_vertex(self, tmp_path, monkeypatch, lp_fallback):
         # the QoS programs have many optimal vertices, and from the slack
-        # start their first solves reach other ones than from the crash; a
-        # row reports the minimum-energy schedule of the workloads its solve
+        # start their solves reach other ones than from the crash; a row
+        # reports the minimum-energy schedule of the workloads its solve
         # chose, which is the same at every one of them. Every row and eps*
         # is decided by its LP here (lp_fallback): the recorded CSV, written
         # in closed form, is the LP's too
@@ -279,7 +298,8 @@ class TestSweepCommand:
         )
         monkeypatch.setattr(sweep, "solve_lp", solve)
         got, want = self.golden_rows(tmp_path)
-        assert starts.count("slack") == 8
+        # every row's QoS solve, and no other
+        assert starts.count("slack") == len(got) - 1 == 56
         assert got == want
 
 

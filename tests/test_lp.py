@@ -24,6 +24,7 @@ from impsched.lp import (
     solve_lp,
     write_lp_file,
 )
+from impsched.schedlp import asap_basis
 from impsched.taskgraph import (
     MANDATORY_REGIMES,
     GeneratorParams,
@@ -504,19 +505,20 @@ class TestWarmStart:
         # the equilibrated QoS costs peak near 1.4e-6; a tolerance of 1e-9
         # in absolute terms let a reduced cost of 5.3e-10 on a column with
         # a range of 6e4 pass as optimal, 1.8e-5 short in QoS. The rows are
-        # decided by the LP (lp_fallback), so the walk solves it warm.
+        # decided by the LP (lp_fallback), so the walk solves it from the
+        # model's crash.
         g = generate_random_graph(GeneratorParams(n_tasks=38, mandatory_regime="man_low", seed=7))
         platform = sweep.default_platform()
         star, _, _ = sweep.epsilon_star(g, platform)
         captured = []
 
         def capture(problem, *args, **kwargs):
-            captured.append(problem.compile())
+            captured.append(problem)
             return solve_lp(problem, *args, **kwargs)
 
         model = sweep.MethodModel()
         assert sweep.run_proposed(g, platform, 0.75 * star, model).feasible
-        assert model.basis is not None
+        assert model.crash is not None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sweep, "solve_lp", capture)
             warm = sweep.run_proposed(g, platform, 0.7 * star, model)
@@ -891,24 +893,33 @@ class TestScalingCache:
         # a program with another right-hand side starts with an empty cache
         assert dataclasses.replace(comp, b=comp.b * 0.9)._scaled is None
 
-    def test_copy_with_one_rhs_shares_the_compiled_arrays(self):
-        lp = random_lp(np.random.default_rng(5))
-        comp = lp.compile()
-        copy = lp.with_rhs("r0", 7.0, comp)
-        shared = copy.compile()
-        assert shared.A is comp.A and shared._scaled is _scaling(comp)
-        assert shared.b[0] == 7.0 and np.array_equal(shared.b[1:], comp.b[1:])
-        # the original keeps its right-hand side and its variables; a copy
-        # changed further compiles from its own rows
-        copy.add_var("extra")
-        assert lp.compile().b[0] == comp.b[0] and "extra" not in lp.var_names
-        assert copy.compile().A.shape == (comp.A.shape[0], comp.A.shape[1] + 1)
+    def test_compiled_copy_with_one_rhs_shares_the_arrays_and_the_cache(self):
+        # a sweep row's program: the model's compiled QoS program at the
+        # row's budget, solved from the model's crash
+        g = generate_random_graph(GeneratorParams(n_tasks=10, mandatory_regime="man_low", seed=7))
+        platform = sweep.default_platform()
+        star, _, _ = sweep.epsilon_star(g, platform)
+        model = sweep.MethodModel()
+        assert sweep.run_proposed(g, platform, 0.6 * star, model).feasible
+        comp = model.lp.compile()
+        pm, fs = platform.power, platform.freqs
+        crash = asap_basis(model.lp, model.gn, model.asg, pm, fs, model.prec)
+        row = comp.copy_with_rhs("energy", 0.6 * star)
+        energy = comp.row_names.index("energy")
+        assert row.A is comp.A and _scaling(row) is _scaling(comp)
+        assert row.b is not comp.b and row.b[energy] == 0.6 * star and comp.b[energy] == 0.0
+        assert np.array_equal(np.delete(row.b, energy), np.delete(comp.b, energy))
         with pytest.raises(ValueError):
-            lp.with_rhs("r0", INF, comp)
-        # without the original's CompiledLP the copy compiles from its rows
-        del comp, shared
-        own = lp.with_rhs("r0", 7.0, lp.compile()).compile()
-        assert own._scaled is None and own.b[0] == 7.0
+            comp.copy_with_rhs("energy", INF)
+        first = solve_lp(row, basis=crash)
+        assert first.start == "warm" and first.refactors == 1
+        # a second row adopts the crash's inverse from the shared cache
+        second = solve_lp(comp.copy_with_rhs("energy", 0.5 * star), basis=crash)
+        assert second.start == "warm" and second.refactors == 0
+        # and solves as the program built at its budget does, bit for bit
+        fresh = solve_lp(model.program(0.5 * star).compile(), basis=crash)
+        assert second.optimal and second.iterations > 0 and fresh.refactors == 1
+        assert same_solve(second, fresh)
 
     def test_compiled_matrix_is_read_only(self):
         # the cache derives from A, so A cannot change under it
@@ -942,23 +953,18 @@ class TestFactorCache:
     the basis in position order; a refactor at that basis adopts it."""
 
     def test_warm_solve_at_the_factored_basis_computes_no_inverse(self):
-        lp = scheduling_programs(10)[1]
-        comp = lp.compile()
+        comp = scheduling_lps(10)[1]
         first = solve_lp(comp)
         # from its own final basis: no pivot, and the cache now holds that basis
         again = solve_lp(comp, basis=first.basis)
         assert again.iterations == 0 and _scaling(comp)[4][0] is not None
-        # a lower budget, on a copy that shares comp's cache
-        energy = comp.b[comp.row_names.index("energy")]
-        lower = lp.with_rhs("energy", 0.7 * energy, comp).compile()
-        assert _scaling(lower) is _scaling(comp)
-        warm = solve_lp(lower, basis=first.basis)
-        empty = dataclasses.replace(lower)
+        # so a third solve from there computes no inverse
+        third = solve_lp(comp, basis=first.basis)
+        empty = dataclasses.replace(comp)
         assert empty._scaled is None
         fresh = solve_lp(empty, basis=first.basis)
-        assert warm.optimal and warm.iterations > 0
-        assert warm.refactors == 0 and fresh.refactors == 1
-        assert same_solve(warm, fresh)
+        assert third.refactors == 0 and fresh.refactors == 1
+        assert same_solve(third, fresh) and same_solve(third, again)
 
     def test_same_basic_set_in_another_order_is_factored_anew(self):
         comp = scheduling_lps(10)[1]

@@ -55,6 +55,8 @@ class TestRatios:
             SweepConfig(resolution=0.0)
         with pytest.raises(ValueError):
             SweepConfig(methods=("nonsense",))
+        with pytest.raises(ValueError, match="no method"):
+            SweepConfig(methods=())
 
 
 class TestEpsilonStar:
@@ -206,7 +208,7 @@ class TestWarmSweep:
 
         def capture(problem, *args, **kwargs):
             sol = solve_lp(problem, *args, **kwargs)
-            solves.append((problem.compile(), kwargs.get("basis"), sol))
+            solves.append((problem, kwargs.get("basis"), sol))
             return sol
 
         with pytest.MonkeyPatch.context() as mp:
@@ -221,12 +223,10 @@ class TestWarmSweep:
             model = MethodModel()
             cold = runners[row.method](g, platform4, row.eps_ratio * star, model)
             assert row.feasible == cold.feasible
-            # the first row of a walk starts from the crash, every later one
-            # from the previous row's final basis
+            # every row of a walk starts from the crash
             assert sol.start == "warm"
-            if row.eps_ratio == 1.0:
-                pm, fs = platform4.power, platform4.freqs
-                assert np.array_equal(basis, asap_basis(model.lp, model.gn, model.asg, pm, fs))
+            pm, fs = platform4.power, platform4.freqs
+            assert np.array_equal(basis, asap_basis(model.lp, model.gn, model.asg, pm, fs))
             status, ref = highs_objective(comp)
             assert sol.status == status
             if row.feasible:
@@ -287,8 +287,8 @@ def reachable(obj) -> list:
 
 
 class TestModelReuse:
-    """A walk builds each method's program once and re-solves it with only the
-    energy budget changed."""
+    """A walk compiles each method's program once and solves it, from one
+    crash, with only the energy budget changed."""
 
     @pytest.fixture(scope="class")
     def walk(self):
@@ -300,24 +300,25 @@ class TestModelReuse:
         cfg = SweepConfig()
         solved = []
         inverses = []
+        templates = {}  # per model, a weak reference to its compiled program
 
         def capture(problem, *args, **kwargs):
-            # the program, as the solver sees it, and a weak reference to the
-            # compiled template it shares; the copy kept holds none of the
-            # template's cache
-            ref = problem._shares[0]
-            during = problem.compile()
-            assert ref() is not None and during.A is ref().A
-            solved.append((problem, dataclasses.replace(during), ref))
+            # the program as the solver sees it, kept without the cache it
+            # shares with the model's compiled template
+            solved.append(dataclasses.replace(problem))
             sol = solve_lp(problem, *args, **kwargs)
-            # the basis inverse the solve left in the template's cache
-            inverses.append(weakref.ref(_scaling(during)[4][0][1]))
+            # the basis inverse the solve left in that cache
+            inverses.append(weakref.ref(_scaling(problem)[4][0][1]))
             return sol
 
         def keeping(runner):
             # keeps every call's arguments and result, as a tracer would
             def run(*args):
                 kept.append((args, runner(*args)))
+                # every row of a model solves a copy of one compiled program
+                model = args[3]
+                ref = templates.setdefault(id(model), weakref.ref(model.compiled))
+                assert ref() is model.compiled and solved[-1].A is model.compiled.A
                 return kept[-1][1]
             return run
 
@@ -333,29 +334,21 @@ class TestModelReuse:
         rows.sort(key=lambda r: (cfg.methods.index(r.method), -r.eps_ratio))
         return types.SimpleNamespace(
             g=g, platform=platform, star=star, rows=rows, solved=solved, kept=kept,
-            inverses=inverses,
+            inverses=inverses, templates=list(templates.values()),
         )
 
-    def test_each_row_compiles_to_a_fresh_build(self, walk):
+    def test_each_row_solves_a_fresh_build(self, walk):
         g, platform, star, rows, solved = walk.g, walk.platform, walk.star, walk.rows, walk.solved
         assert len(solved) == len(rows)
-        for row, (lp, during, _) in zip(rows, solved):
+        for row, during in zip(rows, solved):
             fresh = fresh_program(row.method, g, platform, row.eps_ratio * star)
             assert same_program(during, fresh)
-            # after the walk, the row compiles from its own rows
-            late = lp.compile()
-            assert late.A is not during.A and late._scaled is None
-            assert same_program(late, fresh)
 
-    def test_rows_equal_a_walk_built_cold_at_every_row(self, walk, lp_fallback):
+    def test_rows_equal_a_fresh_model_at_every_row(self, walk, lp_fallback):
         g, platform, star, rows = walk.g, walk.platform, walk.star, walk.rows
         runners = {"proposed": run_proposed, "baseline": run_baseline}
-        basis = {}
         for row in rows:
-            # a model built anew for the row, from the previous row's basis
-            model = MethodModel(basis=basis.get(row.method))
-            out = runners[row.method](g, platform, row.eps_ratio * star, model)
-            basis[row.method] = model.basis
+            out = runners[row.method](g, platform, row.eps_ratio * star, MethodModel())
             cold = sweep.SweepRow(
                 "g", row.method, row.eps_ratio, out.feasible, out.qos, out.energy,
                 out.makespan, 0.0, out.gap, out.nodes,
@@ -364,10 +357,9 @@ class TestModelReuse:
 
     def test_compiled_template_dies_with_the_walk(self, walk):
         assert walk.kept
-        refs = {id(ref): ref for _, _, ref in walk.solved}.values()
         # one template per method, gone once sweep_graph returned, although
         # the runners' arguments (the walk's models) are still kept
-        assert len(refs) == 2 and all(ref() is None for ref in refs)
+        assert len(walk.templates) == 2 and all(ref() is None for ref in walk.templates)
         # and so is every basis inverse its cache held
         assert len(walk.inverses) == len(walk.solved)
         assert all(ref() is None for ref in walk.inverses)
@@ -420,17 +412,18 @@ class TestClosedForm:
             assert star == pytest.approx(sol.objective, rel=1e-9)
             assert star == pytest.approx(ref, rel=1e-9)
             for method, runner in (("proposed", run_proposed), ("baseline", run_baseline)):
-                model, basis = MethodModel(), None
+                model, crash = MethodModel(), None
                 for ratio in sweep_ratios(0.05):
                     eps = ratio * star
                     out = runner(g, platform4, eps, model)
                     assert out.decided_by == "closed-form"
-                    if model.compiled is None:
-                        model.compiled = model.lp.compile()
-                    program = model.program(eps)
-                    sol = solve_lp(program, basis=basis)
-                    basis = sol.basis if sol.basis is not None else basis
-                    status, ref = highs_objective(program.compile())
+                    if crash is None:
+                        pm, fs = platform4.power, platform4.freqs
+                        crash = asap_basis(model.lp, model.gn, model.asg, pm, fs, model.prec)
+                    # the program an LP row at eps solves, from where it starts
+                    program = model.program(eps).compile()
+                    sol = solve_lp(program, basis=crash)
+                    status, ref = highs_objective(program)
                     assert out.feasible == sol.optimal == (status == "optimal"), (method, ratio)
                     if out.feasible:
                         assert out.qos == pytest.approx(sol.objective, rel=1e-9)
@@ -555,11 +548,47 @@ class TestLpFallback:
             out = runner(g, platform, eps, model)
             assert model.full is None and out.decided_by == "lp"
             # the row's QoS program was solved, and is the model's program
-            program = [p for p in solved if isinstance(p, LinearProgram)][-1]
-            assert same_program(program.compile(), model.program(eps).compile())
-            status, ref = highs_objective(program.compile())
+            program = [p for p in solved if "energy" in p.row_names][-1]
+            assert same_program(program, model.program(eps).compile())
+            status, ref = highs_objective(program)
             assert out.feasible == (status == "optimal"), ratio
             if out.feasible:
                 assert out.qos == pytest.approx(ref, rel=1e-9)
             feasible.append(out.feasible)
         assert True in feasible and False in feasible
+
+
+class TestRowsOnTheirOwn:
+    """Graphs whose baseline rows go to the LP on two or three processors.
+    Solved from the previous row's final basis, one of their rows ends
+    "numerical" (ROADMAP item 2); from the model's crash every row solves,
+    and depends on its model and budget only."""
+
+    @pytest.mark.parametrize("n,seed,procs", [(40, 0, 2), (80, 0, 3), (80, 2, 3)])
+    def test_lp_rows_match_highs_and_a_fresh_model(self, n, seed, procs, monkeypatch):
+        platform = default_platform(procs)
+        g = generate_random_graph(GeneratorParams(n_tasks=n, mandatory_regime="man_low", seed=seed))
+        kept = []
+
+        def keeping(runner):
+            def run(*args):
+                kept.append((args, runner(*args)))
+                return kept[-1][1]
+            return run
+
+        monkeypatch.setattr(sweep, "run_proposed", keeping(run_proposed))
+        monkeypatch.setattr(sweep, "run_baseline", keeping(run_baseline))
+        rows = sweep_graph("g", g, platform, SweepConfig())
+        assert len(kept) == len(rows)
+        runners = {"proposed": run_proposed, "baseline": run_baseline}
+        lp_rows = [(args, out) for args, out in kept if out.decided_by == "lp"]
+        assert lp_rows
+        for (_, _, eps, model), out in lp_rows:
+            status, ref = highs_objective(model.program(eps).compile())
+            assert out.feasible == (status == "optimal"), (out.method, eps)
+            if out.feasible:
+                assert out.qos == pytest.approx(ref, rel=1e-9)
+            alone = runners[out.method](g, platform, eps, MethodModel())
+            assert (alone.feasible, alone.qos, alone.energy, alone.makespan, alone.schedule) == (
+                out.feasible, out.qos, out.energy, out.makespan, out.schedule
+            )
