@@ -540,6 +540,8 @@ def cmd_verify(args) -> int:
         )
     if set(sched.start) != set(g.tasks):
         raise UsageError("schedule tasks differ from the graph's tasks")
+    if any(u not in g.tasks or not 0 <= i < len(platform.freqs) for u, i in sched.cycles):
+        raise UsageError("schedule cycles name a task or frequency the graph or platform lacks")
     if mode == "proposed":
         if labeling is None:
             raise UsageError("proposed schedule file lacks label lines")

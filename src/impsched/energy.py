@@ -106,8 +106,8 @@ def cheapest_frequency(model: PowerModel, fs: FrequencySet) -> tuple[int, float]
     the lowest frequency.
     """
     costs = [energy_per_cycle(model, f) for f in fs]
-    idx = min(range(len(costs)), key=lambda i: (costs[i], i))
-    return idx, costs[idx]
+    cost = min(costs)
+    return costs.index(cost), cost
 
 
 @dataclass(frozen=True)

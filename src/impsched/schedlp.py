@@ -238,20 +238,21 @@ def precedence(g: TaskGraph, asg: Assignment) -> Precedence:
 
 def _asap(
     prec: Precedence, durations: dict[str, float]
-) -> tuple[dict[str, float], dict[str, str | None]]:
+) -> tuple[dict[str, float], dict[str, float], dict[str, str | None]]:
     """The as-soon-as-possible schedule of tasks with fixed durations: each
-    task's start, and the name of the incoming prec/chain row that sets it
-    (None for a task with no incoming row). Ties go to the first row."""
+    task's start and finish, and the name of the incoming prec/chain row that
+    sets its start (None for a task with no incoming row). Ties go to the
+    first row."""
     start, binding, finish = {}, {}, {}
     for u in prec.order:
-        rows = prec.incoming[u]
-        if rows:
-            row, p, gap = max(rows, key=lambda r: finish[r[1]] + r[2])
-            start[u], binding[u] = finish[p] + gap, row
-        else:
-            start[u], binding[u] = 0.0, None
-        finish[u] = start[u] + durations[u]
-    return start, binding
+        s, row = 0.0, None
+        for r, p, gap in prec.incoming[u]:
+            t = finish[p] + gap
+            if row is None or t > s:
+                s, row = t, r
+        start[u], binding[u] = s, row
+        finish[u] = s + durations[u]
+    return start, finish, binding
 
 
 def asap_basis(
@@ -297,7 +298,7 @@ def asap_basis(
             vstat[col[f"o[{u}]"]] = 1
             load[u] += g.task(u).optional
     prec = precedence(g, asg) if prec is None else prec
-    _, binding = _asap(prec, {u: w / f_star for u, w in load.items()})
+    _, _, binding = _asap(prec, {u: w / f_star for u, w in load.items()})
     for u, row in binding.items():
         if row is not None:
             vstat[col[f"S[{u}]"]] = 2
@@ -347,13 +348,13 @@ def min_energy_schedule(
     i_star, c_star = cheapest_frequency(pm, fs)
     f_star = fs.freqs[i_star]
     durations = {u: loads[u] / f_star for u in g.tasks}
-    start, _ = _asap(precedence(g, asg) if prec is None else prec, durations)
-    makespan = max(start[u] + durations[u] for u in g.tasks)
+    start, finish, _ = _asap(precedence(g, asg) if prec is None else prec, durations)
+    makespan = max(finish.values())
     if makespan > T_d:
         return None
-    cycles = {
-        (u, i): loads[u] if i == i_star else 0.0 for u in g.tasks for i in range(len(fs))
-    }
+    cycles = dict.fromkeys([(u, i) for u in g.tasks for i in range(len(fs))], 0.0)
+    for u in g.tasks:
+        cycles[u, i_star] = loads[u]
     energy = c_star * sum(loads.values())
     return Schedule(
         start, cycles, dict(opt_cycles), durations, energy, _qos(g, opt_cycles), makespan

@@ -7,13 +7,14 @@ the package's own helpers, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from impsched.lp import EQ, GE, LE, LinearProgram, solve_lp
 from impsched.schedlp import _add_timing_core, _energy_coeffs, _qos_objective
 from impsched.taskgraph import NO_OPTIONAL, TaskGraph, topological_order
-from impsched.verify import WorkloadContract
+from impsched.verify import _TOL, CheckResult, VerificationReport, WorkloadContract
 
 
 # --- labeling ----------------------------------------------------------------
@@ -156,6 +157,90 @@ def baseline_contract_reference(g: TaskGraph) -> WorkloadContract:
             w = float(t.initial_workload)
             bounds[u] = (w, w)
     return WorkloadContract(bounds, mandatory)
+
+
+# --- the verifier, one check at a time -----------------------------------------
+
+def _worst(pairs) -> tuple[float, str]:
+    """The first of the most negative (margin, detail) pairs, or (0.0, "")."""
+    worst = (0.0, "")
+    for margin, detail in pairs:
+        if margin < worst[0]:
+            worst = (margin, detail)
+    return worst
+
+
+def verify_reference(g, sched, asg, pm, fs, eps_max, T_d, contract) -> VerificationReport:
+    """verify_schedule written one check at a time, each a plain loop over its
+    elements' margins, under the same tolerance rule: a slack over a scale of
+    its own unit (times over T_d, a task's cycles over its window's top, its
+    duration over its recomputed one, energy over the recomputed energy and
+    over eps_max; a zero scale counts as 1), passing at margin >= -_TOL."""
+    freqs = list(fs)
+    cost = [pm.alpha * f ** (pm.beta - 1.0) + pm.gamma + pm.delta / f for f in freqs]
+    items = list(sched.cycles.items())
+    total = {u: sum(n for (v, _), n in items if v == u) for u in g.tasks}
+    seconds = {u: sum(n / freqs[i] for (v, i), n in items if v == u) for u in g.tasks}
+    energy = sum(n * cost[i] for (_, i), n in items)
+    top = {u: contract.bounds[u][1] or 1.0 for u in g.tasks}
+    start, dur, opt = sched.start, sched.durations, sched.opt_cycles
+
+    bad = [f"start[{u}]" for u in g.tasks if not math.isfinite(start[u])]
+    bad += [f"D[{u}]" for u in g.tasks if not math.isfinite(dur[u])]
+    bad += [f"N[{u},{i}]" for (u, i), n in items if not math.isfinite(n)]
+    bad += [f"o[{u}]" for u in g.tasks if u in opt and not math.isfinite(opt[u])]
+    bad += [k for k, v in (("energy", sched.energy), ("qos", sched.qos)) if not math.isfinite(v)]
+
+    def window(u):
+        lo, hi = contract.bounds[u]
+        yield (total[u] - lo) / top[u], f"{u}: {total[u]:.1f} < {lo:.1f}"
+        yield (hi - total[u]) / top[u], f"{u}: {total[u]:.1f} > {hi:.1f}"
+
+    def accounting(u):
+        expect = total[u] - contract.mandatory[u]
+        return -abs(opt[u] - expect) / top[u], f"{u}: o={opt[u]:.2f} vs {expect:.2f}"
+
+    def slack(u, v, gap):
+        return (start[v] - start[u] - dur[u] - gap) / T_d
+
+    exits = g.exits()
+    q = sum(
+        g.task(u).threshold
+        + (1.0 - g.task(u).threshold)
+        * min(max(opt[u], 0.0), float(g.task(u).optional)) / g.task(u).optional
+        for u in exits
+    ) / len(exits)
+    checks = [
+        ("finite-values", (-math.inf if bad else 0.0, ", ".join(bad))),
+        ("cycles-nonnegative", _worst(
+            (n / top[u], f"N[{u},{i}]={n}") for (u, i), n in items if n < 0.0)),
+        ("workload-window", _worst(p for u in g.tasks for p in window(u))),
+        ("optional-accounting", _worst(accounting(u) for u in g.tasks if u in opt)),
+        ("duration-consistency", _worst(
+            (-abs(dur[u] - seconds[u]) / (abs(seconds[u]) or 1.0),
+             f"{u}: D={dur[u]:.3e} vs {seconds[u]:.3e}") for u in g.tasks)),
+        ("start-nonnegative", _worst(
+            (start[u] / T_d, f"{u} starts at {start[u]:.3e}") for u in g.tasks)),
+        ("deadline", _worst(
+            ((T_d - start[u] - dur[u]) / T_d, f"{u} finishes past the deadline")
+            for u in g.tasks)),
+        ("precedence", _worst(
+            (slack(e.src, e.dst, e.comm), f"{e.src}->{e.dst}") for e in g.edges)),
+        ("processor-non-overlap", _worst(
+            (slack(seq[j], seq[j + 1], 0.0), f"proc {k}: {seq[j]} overlaps {seq[j + 1]}")
+            for k, seq in enumerate(asg.order) for j in range(len(seq) - 1))),
+        ("energy-accounting", (
+            -abs(energy - sched.energy) / (abs(energy) or 1.0),
+            f"recomputed {energy:.6e} vs stored {sched.energy:.6e}")),
+        ("energy-budget", (
+            (eps_max - energy) / (abs(eps_max) or 1.0),
+            f"budget {eps_max:.6e}, used {energy:.6e}")),
+        ("qos-accounting", (
+            -abs(q - sched.qos), f"recomputed {q:.8f} vs stored {sched.qos:.8f}")),
+    ]
+    return VerificationReport(
+        tuple(CheckResult(name, m >= -_TOL, m, at) for name, (m, at) in checks)
+    )
 
 
 # --- LP optimality certificate -------------------------------------------------

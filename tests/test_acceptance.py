@@ -436,7 +436,7 @@ def test_criterion_9_verifier_independence(suite20):
                 if runner is run_proposed and not schedules:
                     schedules.append((gn, out, ratio * star, contract))
 
-    # ten injected faults, each of which must trip its intended check
+    # twelve injected faults, each of which must trip its intended check
     gn, out, eps_max, contract = schedules[0]
     sched = out.schedule
 
@@ -474,6 +474,11 @@ def test_criterion_9_verifier_independence(suite20):
     o1 = dict(sched.opt_cycles)
     o1[exit0] = 0.0 if o1[exit0] > 1 else float(gn.task(exit0).optional)
     faults.append((dataclasses.replace(sched, opt_cycles=o1), "optional-accounting", None))
+    # two faults below an absolute 1e-6 on SI values: every duration 0.9 us
+    # long, and a budget 0.9 uJ short of the energy used
+    d2 = {u: d + 0.9e-6 for u, d in sched.durations.items()}
+    faults.append((dataclasses.replace(sched, durations=d2), "duration-consistency", None))
+    faults.append((sched, "energy-budget", sched.energy - 0.9e-6))
 
     injected_ok = 0
     for mutated, expect, eps in faults:
@@ -481,12 +486,12 @@ def test_criterion_9_verifier_independence(suite20):
             injected_ok += 1
         else:
             failures.append(f"fault not caught: {expect}")
-    ok = not failures and injected_ok == 10
+    ok = not failures and injected_ok == len(faults) == 12
     record_criterion(
         9,
         "verifier soundness and fault detection",
         ok,
-        f"{verified} schedules verified, {injected_ok}/10 faults caught",
+        f"{verified} schedules verified, {injected_ok}/{len(faults)} faults caught",
     )
     assert ok, failures
 

@@ -134,6 +134,18 @@ class TestScheduleVerify:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["tXX 0", "t00 9", "t00 -1"])
+    def test_cycles_outside_graph_or_platform(self, graph_file, tmp_path, capsys, key):
+        sched_file = tmp_path / "sched.txt"
+        assert run(f"schedule {graph_file} --eps-ratio 0.9 --out {sched_file}") == 0
+        text = sched_file.read_text()
+        assert "\ncycles t00 0 " in text
+        sched_file.write_text(text.replace("\ncycles t00 0 ", f"\ncycles {key} ", 1))
+        capsys.readouterr()
+        assert run(f"verify {graph_file} {sched_file}") == 1
+        err = capsys.readouterr().err
+        assert err == "error: schedule cycles name a task or frequency the graph or platform lacks\n"
+
     @pytest.mark.parametrize("proc", ["9", "4", "-1"])
     def test_processor_outside_schedule(self, graph_file, tmp_path, capsys, proc):
         sched_file = tmp_path / "sched.txt"

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import make_graph
-from impsched.energy import FrequencySet, PowerModel, energy_per_cycle
+from impsched.energy import FrequencySet, PowerModel, cheapest_frequency, energy_per_cycle
 from impsched.imprecision import imp_label, precise_workloads, scheduling_workloads
 from impsched.listsched import heft_assign
 from impsched.lp import solve_lp
@@ -15,6 +15,7 @@ from impsched.schedlp import (
     chosen_loads,
     decode_schedule,
     min_energy_schedule,
+    precedence,
 )
 from impsched.sweep import (
     MethodModel,
@@ -225,6 +226,30 @@ class TestMinEnergySchedule:
         assert status == "optimal" and sol.objective == pytest.approx(ref, rel=1e-9)
         assert out.energy == pytest.approx(sol.objective, rel=1e-12)
         assert verify_schedule(gn, out.schedule, asg, pm, fs, eps, T_d, model.contract).ok
+
+    @pytest.mark.parametrize(
+        "pm",
+        # i* the lowest, an inner and the highest frequency
+        [SIMPLE_PM, default_platform().power, PowerModel(1e-27, 3.0, 0.0, 100.0)],
+    )
+    def test_keeps_the_dict_order(self, pm):
+        platform = default_platform()
+        fs = platform.freqs
+        g = generate_random_graph(GeneratorParams(n_tasks=20, seed=5))
+        model = MethodModel()
+        out = run_proposed(g, platform, epsilon_star(g, platform)[0], model)
+        gn, asg = model.gn, model.asg
+        loads = {u: sum(out.schedule.cycles[u, i] for i in range(len(fs))) for u in gn.tasks}
+        sched = min_energy_schedule(gn, asg, loads, out.schedule.opt_cycles, pm, fs, 1e3)
+        i_star, _ = cheapest_frequency(pm, fs)
+        # starts in the order of the walk, durations in task order, cycles
+        # task-major with the frequencies ascending
+        order = precedence(gn, asg).order
+        assert list(sched.start) == list(order) and list(order) != list(gn.tasks)
+        assert list(sched.durations) == list(gn.tasks)
+        assert list(sched.cycles.items()) == [
+            ((u, i), loads[u] if i == i_star else 0.0) for u in gn.tasks for i in range(len(fs))
+        ]
 
 
 class TestBaselineLP:
