@@ -397,17 +397,15 @@ def _write_out(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _eps_from_args(g, platform, args, star: MethodModel) -> float:
+def _eps_from_args(g, platform, args) -> float:
     """The budget of --eps-max, else --eps-ratio (default 1) times eps*.
-    star is an empty model that the eps* solve, if one runs, fills."""
-    if getattr(args, "eps_max", None) is not None:
-        return _check_finite("--eps-max", args.eps_max)
-    ratio = getattr(args, "eps_ratio", None)
-    if ratio is None:
-        ratio = 1.0
-    _check_finite("--eps-ratio", ratio)
-    value, _, _ = epsilon_star(g, platform, star)
-    return ratio * value
+    A budget of 0 is infeasible, not malformed."""
+    flag, value = "--eps-max", args.eps_max
+    if value is None:
+        flag, value = "--eps-ratio", 1.0 if args.eps_ratio is None else args.eps_ratio
+    if not 0 <= value < math.inf:  # also false for nan
+        raise UsageError(f"{flag} must be a finite number >= 0, got {value}")
+    return value if args.eps_max is not None else value * epsilon_star(g, platform)[0]
 
 
 def cmd_generate(args) -> int:
@@ -462,19 +460,15 @@ def cmd_epsilon_star(args) -> int:
 def _run_single(method: str, args) -> int:
     g = _read_graph(args.graph)
     platform = _platform_from(args)
-    star = MethodModel()
-    eps_max = _eps_from_args(g, platform, args, star)
+    eps_max = _eps_from_args(g, platform, args)
     model = MethodModel()
-    if method == "proposed":
-        out = run_proposed(g, platform, eps_max, model)
-    elif method == "baseline":
-        # eps* list-scheduled the same precise workloads, as in sweep_graph
-        model.gn, model.asg, model.prec = star.gn, star.asg, star.prec
-        out = run_baseline(g, platform, eps_max, model)
-    else:
+    if method == "milp":
         # the sweep's time-limit default and check, without its config file
         time_limit = load_sweep_config(None, args).milp_time_limit
         out = run_milp(g, platform, eps_max, time_limit=time_limit)
+    else:
+        runner = run_proposed if method == "proposed" else run_baseline
+        out = runner(g, platform, eps_max, model)
     if not out.feasible:
         print(f"{method}: infeasible at eps_max {_fmt(eps_max)} J")
         return EXIT_INFEASIBLE
@@ -483,7 +477,7 @@ def _run_single(method: str, args) -> int:
         f"makespan_s {_fmt(out.makespan)}"
         + (f" nodes {out.nodes} gap {out.gap:.3g}" if method == "milp" else "")
     )
-    gn = normalize_source(g) if model.gn is None else model.gn
+    gn = normalize_source(g)
     if args.out:
         _write_out(
             args.out,

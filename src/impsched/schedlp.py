@@ -258,14 +258,13 @@ def _asap(
 def asap_basis(
     lp: LinearProgram,
     g: TaskGraph,
-    asg: Assignment,
+    prec: Precedence,
     pm: PowerModel,
     fs: FrequencySet,
-    prec: Precedence | None = None,
 ) -> np.ndarray:
     """A crash basis (Bixby 1992) for a program that build_qos_lp or
-    build_load_lp wrote for g and asg: solve_lp(lp, basis=...) starts there.
-    prec, if given, is precedence(g, asg).
+    build_load_lp wrote for g and an assignment asg, whose rows prec is
+    (precedence(g, asg)): solve_lp(lp, basis=...) starts there.
 
     Every task runs at i*, the frequency of lowest energy per cycle, and
     starts as soon as its prec/chain rows allow; the incoming row that sets
@@ -297,7 +296,6 @@ def asap_basis(
         if f"o[{u}]" in col:
             vstat[col[f"o[{u}]"]] = 1
             load[u] += g.task(u).optional
-    prec = precedence(g, asg) if prec is None else prec
     _, _, binding = _asap(prec, {u: w / f_star for u, w in load.items()})
     for u, row in binding.items():
         if row is not None:
@@ -325,17 +323,16 @@ def chosen_loads(
 
 def min_energy_schedule(
     g: TaskGraph,
-    asg: Assignment,
+    prec: Precedence,
     loads: dict[str, float],
     opt_cycles: dict[str, float],
     pm: PowerModel,
     fs: FrequencySet,
     T_d: float,
-    prec: Precedence | None = None,
 ) -> Schedule | None:
     """The minimum-energy schedule in which every task u executes loads[u]
-    cycles on asg within T_d, where its closed form holds; else None.
-    prec, if given, is precedence(g, asg).
+    cycles on an assignment asg within T_d, where its closed form holds;
+    else None. prec is precedence(g, asg).
 
     That is the as-soon-as-possible schedule with every task at i*, the
     frequency of lowest energy per cycle c*. Every cycle costs at least c*,
@@ -348,7 +345,7 @@ def min_energy_schedule(
     i_star, c_star = cheapest_frequency(pm, fs)
     f_star = fs.freqs[i_star]
     durations = {u: loads[u] / f_star for u in g.tasks}
-    start, finish, _ = _asap(precedence(g, asg) if prec is None else prec, durations)
+    start, finish, _ = _asap(prec, durations)
     makespan = max(finish.values())
     if makespan > T_d:
         return None

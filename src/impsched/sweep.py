@@ -14,7 +14,8 @@ bind, so the LP is a fractional knapsack over the exits' optional cycles and
 every row is decided in closed form (schedlp.knapsack_loads), with no LP built.
 eps* is still solved by its LP, once per graph: where the closed form holds,
 the two must agree, which checks on every graph the premise that the rows'
-closed form rests on.
+closed form rests on. The normalized graph keeps its list schedules per
+platform, labeled and precise, so eps* and the baseline share theirs.
 
 Elsewhere a row falls back to the LP. The model compiles its QoS program
 and builds the crash schedlp.asap_basis once, on the first such row; each
@@ -147,9 +148,9 @@ class MethodOutcome:
 @dataclass
 class MethodModel:
     """One LP method's program on one graph and platform, and what a row
-    needs to decide, decode and verify it. Empty, or holding only gn, asg
-    and prec, until a runner's (or epsilon_star's) first call fills it;
-    every later call decides the same program at its own budget.
+    needs to decide, decode and verify it. Empty until a runner's (or
+    epsilon_star's) first call fills it; every later call decides the same
+    program at its own budget.
 
     full is the minimum-energy schedule of the full loads, None where their
     as-soon-as-possible schedule misses the deadline: then, and only then,
@@ -223,13 +224,13 @@ def _fill(model: MethodModel, method: str, g, platform, eps_max=None) -> None:
     precise (baseline, minimum-energy), list-schedule the full loads, and
     schedule them as soon as possible at the cheapest frequency. Without a
     budget the model is eps*'s, and the contract pins every task to its
-    initial workload. A model that comes with gn, asg and prec (eps*'s, for
-    the baseline, which list-schedules the same workloads) keeps them."""
-    gn = normalize_source(g) if model.gn is None else model.gn
+    initial workload. The list schedule and its precedence rows are kept on
+    the normalized graph, keyed by platform and by labeled or precise loads."""
+    gn = normalize_source(g)
     lab, wl = imp_label(gn) if method == "proposed" else (None, precise_workloads(gn))
     full = {u: float(w) for u, w in scheduling_workloads(gn, wl).items()}
-    asg = model.asg
-    if asg is None:
+    key = (platform, lab is not None)
+    if key not in gn._derived:
         asg = heft_assign(
             gn,
             full,
@@ -238,10 +239,10 @@ def _fill(model: MethodModel, method: str, g, platform, eps_max=None) -> None:
             insertion=platform.heft_insertion,
             lp_comm=platform.heft_lp_comm,
         )
-    model.gn, model.asg, model.labeling, model.workloads = gn, asg, lab, wl
+        gn._derived[key] = asg, precedence(gn, asg)
+    model.asg, model.prec = gn._derived[key]
+    model.gn, model.labeling, model.workloads = gn, lab, wl
     model.method, model.platform = method, platform
-    if model.prec is None:
-        model.prec = precedence(gn, asg)
     if eps_max is None:
         model.contract = WorkloadContract.precise_initial(gn)
         model.fixed_opt = {u: float(gn.task(u).optional) for u in gn.tasks}
@@ -254,7 +255,7 @@ def _fill(model: MethodModel, method: str, g, platform, eps_max=None) -> None:
         for u in gn.tasks
     }
     model.full = min_energy_schedule(
-        gn, asg, full, opt, platform.power, platform.freqs, gn.deadline, model.prec
+        gn, model.prec, full, opt, platform.power, platform.freqs, gn.deadline
     )
 
 
@@ -277,7 +278,7 @@ def epsilon_star(
     model = MethodModel() if model is None else model
     _fill(model, "minimum-energy", g, platform)
     gn, asg = model.gn, model.asg
-    crash = asap_basis(model.lp, gn, asg, platform.power, platform.freqs, model.prec)
+    crash = asap_basis(model.lp, gn, model.prec, platform.power, platform.freqs)
     sol = solve_lp(model.lp, basis=crash)
     if sol.status == "infeasible":
         raise InfeasibleError(
@@ -346,10 +347,10 @@ def _solve_row(model: MethodModel, method: str, platform, eps_max):
     chose (schedlp.chosen_loads), or None where it is infeasible. Every
     solve starts from the model's crash (schedlp.asap_basis), so a row
     depends on its model and budget only."""
-    gn, asg = model.gn, model.asg
+    gn = model.gn
     if model.compiled is None:
         model.compiled = model.lp.compile()
-        model.crash = asap_basis(model.lp, gn, asg, platform.power, platform.freqs, model.prec)
+        model.crash = asap_basis(model.lp, gn, model.prec, platform.power, platform.freqs)
     sol = solve_lp(model.compiled.copy_with_rhs("energy", eps_max), basis=model.crash)
     if sol.status == "infeasible":
         return None
@@ -363,11 +364,11 @@ def _min_energy(gn, asg, loads, opt, platform, method, prec) -> Schedule:
     closed form where it holds (schedlp.min_energy_schedule), else the
     minimum-energy program of the loads from its crash."""
     pm, fs, T_d = platform.power, platform.freqs, gn.deadline
-    sched = min_energy_schedule(gn, asg, loads, opt, pm, fs, T_d, prec)
+    sched = min_energy_schedule(gn, prec, loads, opt, pm, fs, T_d)
     if sched is not None:
         return sched
     lp = build_load_lp(gn, asg, loads, pm, fs, T_d)
-    sol = solve_lp(lp.compile(), basis=asap_basis(lp, gn, asg, pm, fs, prec))
+    sol = solve_lp(lp.compile(), basis=asap_basis(lp, gn, prec, pm, fs))
     if not sol.optimal:
         raise PipelineError(f"{method} minimum-energy LP ended {sol.status}: {sol.message}")
     return decode_schedule(gn, pm, fs, sol, fixed_opt=opt)
@@ -461,14 +462,10 @@ def sweep_graph(
     """Run every configured method down its own feasibility cliff.
 
     Each LP method's rows share one MethodModel, past the cliff too (see the
-    module docstring); branch-and-bound starts every ratio cold. The
-    baseline's model starts with eps*'s normalized graph, assignment and
-    precedence rows, when this call solves eps*: both list-schedule the
-    initial workloads.
+    module docstring); branch-and-bound starts every ratio cold.
     """
-    star = MethodModel()
     if eps_star_value is None:
-        eps_star_value, _, _ = epsilon_star(g, platform, star)
+        eps_star_value, _, _ = epsilon_star(g, platform)
     # built per call, so the runners are looked up by their module names
     runners = {
         "proposed": run_proposed,
@@ -480,8 +477,6 @@ def sweep_graph(
     rows: list[SweepRow] = []
     for method in cfg.methods:
         model = MethodModel()
-        if method == "baseline":
-            model.gn, model.asg, model.prec = star.gn, star.asg, star.prec
         beyond = None  # points probed past the first infeasible ratio
         try:
             for ratio in sweep_ratios(cfg.resolution):

@@ -98,7 +98,9 @@ class TaskGraph:
 
     Construction requires structural integrity (valid ids, edge endpoints
     present, no duplicate edges); value-range and acyclicity problems are
-    reported by validate_graph instead.
+    reported by validate_graph instead. Sources and exits are derived here;
+    _derived keeps what is derived on first request (topological_order,
+    normalize_source, sweep._fill).
     """
 
     def __init__(self, tasks, edges, deadline: float):
@@ -130,6 +132,9 @@ class TaskGraph:
         self._children = {u: tuple(sorted(v)) for u, v in children.items()}
         self._parents = {u: tuple(sorted(v)) for u, v in parents.items()}
         self._comm = comm
+        self._sources = tuple(u for u in self.tasks if not parents[u])
+        self._exits = tuple(u for u in self.tasks if not children[u])
+        self._derived: dict = {}
         self.deadline = float(deadline)
 
     def __eq__(self, other):
@@ -164,10 +169,10 @@ class TaskGraph:
         return self._comm[(u, v)]
 
     def sources(self) -> tuple[str, ...]:
-        return tuple(u for u in self.tasks if not self._parents[u])
+        return self._sources
 
     def exits(self) -> tuple[str, ...]:
-        return tuple(u for u in self.tasks if not self._children[u])
+        return self._exits
 
     def with_deadline(self, deadline: float) -> "TaskGraph":
         return TaskGraph(self.tasks.values(), self.edges, deadline)
@@ -233,7 +238,10 @@ def validate_graph(g: TaskGraph) -> ValidationReport:
 
 
 def topological_order(g: TaskGraph) -> list[str]:
-    """Deterministic topological order (Kahn; ties broken by ascending id)."""
+    """Deterministic topological order (Kahn; ties broken by ascending id):
+    a fresh list of the order kept on g. A cyclic graph raises every time."""
+    if "order" in g._derived:
+        return list(g._derived["order"])
     indeg = {u: len(g.parents(u)) for u in g.tasks}
     ready = [u for u, d in indeg.items() if d == 0]
     heapq.heapify(ready)
@@ -248,6 +256,7 @@ def topological_order(g: TaskGraph) -> list[str]:
     if len(order) != len(g.tasks):
         stuck = sorted(u for u, d in indeg.items() if d > 0)
         raise CycleError(f"cycle detected among tasks: {', '.join(stuck)}")
+    g._derived["order"] = tuple(order)
     return order
 
 
@@ -264,15 +273,20 @@ def normalize_source(g: TaskGraph) -> TaskGraph:
     """Ensure a single source, adding a zero-workload dummy task if needed.
 
     The dummy carries the NO_OPTIONAL sentinel and threshold 1 so it never
-    affects labeling or QoS. Idempotent on single-source graphs.
+    affects labeling or QoS. The same object on every call: kept on g where
+    g has several sources, else g itself, kept nowhere (g holding g would be
+    a reference cycle, left to the garbage collector).
     """
     topological_order(g)  # rejects cyclic input
     sources = g.sources()
     if len(sources) <= 1:
         return g
-    dummy = Task(_fresh_source_id(g), 0, NO_OPTIONAL, 0, 1.0)
-    new_edges = list(g.edges) + [Edge(dummy.id, s, 0.0) for s in sources]
-    return TaskGraph(list(g.tasks.values()) + [dummy], new_edges, g.deadline)
+    if "normalized" not in g._derived:
+        dummy = Task(_fresh_source_id(g), 0, NO_OPTIONAL, 0, 1.0)
+        new_edges = list(g.edges) + [Edge(dummy.id, s, 0.0) for s in sources]
+        tasks = list(g.tasks.values()) + [dummy]
+        g._derived["normalized"] = TaskGraph(tasks, new_edges, g.deadline)
+    return g._derived["normalized"]
 
 
 def compute_deadline(

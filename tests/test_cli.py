@@ -98,6 +98,10 @@ class TestScheduleVerify:
     def test_infeasible_exit_code(self, graph_file):
         assert run(f"schedule {graph_file} --eps-max 1e-9") == 2
 
+    @pytest.mark.parametrize("budget", ["--eps-max 0", "--eps-ratio 0"])
+    def test_zero_budget_is_infeasible_not_malformed(self, graph_file, budget):
+        assert run(f"schedule {graph_file} {budget}") == 2
+
     def test_missing_schedule_file(self, graph_file, tmp_path, capsys):
         assert run(f"verify {graph_file} {tmp_path / 'absent.txt'}") == 1
         err = capsys.readouterr().err
@@ -181,7 +185,7 @@ class TestScheduleVerify:
 
 
 class TestBaselineCommand:
-    def test_eps_ratio_lends_eps_stars_assignment(self, graph_file, tmp_path, monkeypatch, capsys):
+    def test_eps_ratio_list_schedules_once(self, graph_file, tmp_path, monkeypatch, capsys):
         calls = []
         heft = sweep.heft_assign
 
@@ -192,7 +196,7 @@ class TestBaselineCommand:
         monkeypatch.setattr(sweep, "heft_assign", counting)
         shared = tmp_path / "shared.txt"
         assert run(f"baseline {graph_file} --eps-ratio 0.9 --out {shared}") == 0
-        # eps* list-schedules the precise workloads once, for both solves
+        # eps* and the baseline list-schedule the same precise workloads once
         assert len(calls) == 1
         out = capsys.readouterr().out
         # the same budget given directly: the baseline list-schedules on its own
@@ -204,6 +208,31 @@ class TestBaselineCommand:
         assert len(calls) == 1
         assert capsys.readouterr().out == out
         assert alone.read_text() == shared.read_text()
+
+
+class TestGoldenOutput:
+    """schedule, baseline and epsilon-star on a graph of the sweep workload:
+    stdout and the --out file, byte for byte, as recorded in
+    tests/data/cli_golden. On two processors eps* and the baseline row are
+    decided by their LPs, on four in closed form."""
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("schedule", "schedule {graph} --eps-ratio 0.7"),
+            ("baseline", "baseline {graph} --eps-ratio 0.85"),
+            ("epsilon-star", "epsilon-star {graph}"),
+            ("baseline-procs2", "baseline {graph} --eps-ratio 0.85 --procs 2"),
+            ("epsilon-star-procs2", "epsilon-star {graph} --procs 2"),
+        ],
+    )
+    def test_matches_recorded_output(self, name, args, tmp_path, capsys):
+        data = Path(__file__).parent / "data"
+        out = tmp_path / "out.txt"
+        graph = data / "sweep_golden" / "man_low_n38_s7.tg"
+        assert run(f"{args.format(graph=graph)} --out {out}") == 0
+        assert capsys.readouterr().out == (data / "cli_golden" / f"{name}.stdout").read_text()
+        assert out.read_text() == (data / "cli_golden" / f"{name}.out").read_text()
 
 
 class TestExportLp:
@@ -411,6 +440,8 @@ class TestUsage:
             ("schedule {graph} --eps-ratio nan", None),
             ("baseline {graph} --eps-ratio inf", None),
             ("schedule {graph} --eps-max nan", None),
+            ("schedule {graph} --eps-max -0.001", None),
+            ("baseline {graph} --eps-ratio -0.5", None),
             ("schedule {graph} --procs 0", None),
             ("schedule {graph} --procs -3", None),
             ("generate --n 0 --out {tmp}", None),

@@ -903,7 +903,7 @@ class TestScalingCache:
         assert sweep.run_proposed(g, platform, 0.6 * star, model).feasible
         comp = model.lp.compile()
         pm, fs = platform.power, platform.freqs
-        crash = asap_basis(model.lp, model.gn, model.asg, pm, fs, model.prec)
+        crash = asap_basis(model.lp, model.gn, model.prec, pm, fs)
         row = comp.copy_with_rhs("energy", 0.6 * star)
         energy = comp.row_names.index("energy")
         assert row.A is comp.A and _scaling(row) is _scaling(comp)

@@ -133,7 +133,7 @@ class TestAsapBasis:
         platform = default_platform()
         model = MethodModel()
         epsilon_star(g, platform, model)
-        crash = asap_basis(model.lp, model.gn, model.asg, platform.power, platform.freqs)
+        crash = asap_basis(model.lp, model.gn, model.prec, platform.power, platform.freqs)
         warm, cold = solve_lp(model.lp, basis=crash), solve_lp(model.lp)
         assert warm.start == "warm" and cold.start == "slack"
         assert warm.optimal and warm.objective == pytest.approx(cold.objective, rel=1e-12)
@@ -184,14 +184,14 @@ class TestMinEnergySchedule:
         assert out.feasible and len(solved) == 1
         gn, asg, T_d, sol = model.gn, model.asg, model.gn.deadline, solved[0]
         loads, opt = chosen_loads(gn, model.lp, sol, model.fixed_opt)
-        sched = min_energy_schedule(gn, asg, loads, opt, pm, fs, T_d)
+        sched = min_energy_schedule(gn, model.prec, loads, opt, pm, fs, T_d)
         assert sched == out.schedule
         # the QoS is the first stage's, bit for bit
         assert sched.qos == decode_schedule(gn, pm, fs, sol, model.fixed_opt).qos
         status, ref = highs_objective(build_load_lp(gn, asg, loads, pm, fs, T_d).compile())
         assert status == "optimal" and sched.energy == pytest.approx(ref, rel=1e-9)
         # 10% less time than the as-soon-as-possible schedule takes
-        assert min_energy_schedule(gn, asg, loads, opt, pm, fs, 0.9 * sched.makespan) is None
+        assert min_energy_schedule(gn, model.prec, loads, opt, pm, fs, 0.9 * sched.makespan) is None
 
     @pytest.mark.parametrize("n", [10, 44])
     @pytest.mark.parametrize("regime", sorted(MANDATORY_REGIMES))
@@ -219,7 +219,7 @@ class TestMinEnergySchedule:
         assert out.feasible and out.qos == 1.0
         gn, asg, T_d = model.gn, model.asg, model.gn.deadline
         loads, opt = chosen_loads(gn, model.lp, solved[0][1], model.fixed_opt)
-        assert min_energy_schedule(gn, asg, loads, opt, pm, fs, T_d) is None
+        assert min_energy_schedule(gn, model.prec, loads, opt, pm, fs, T_d) is None
         (_, _), (comp, sol) = solved
         assert not comp.maximize and sol.start == "warm"
         status, ref = highs_objective(comp)
@@ -240,7 +240,9 @@ class TestMinEnergySchedule:
         out = run_proposed(g, platform, epsilon_star(g, platform)[0], model)
         gn, asg = model.gn, model.asg
         loads = {u: sum(out.schedule.cycles[u, i] for i in range(len(fs))) for u in gn.tasks}
-        sched = min_energy_schedule(gn, asg, loads, out.schedule.opt_cycles, pm, fs, 1e3)
+        sched = min_energy_schedule(
+            gn, precedence(gn, asg), loads, out.schedule.opt_cycles, pm, fs, 1e3
+        )
         i_star, _ = cheapest_frequency(pm, fs)
         # starts in the order of the walk, durations in task order, cycles
         # task-major with the frequencies ascending

@@ -12,10 +12,12 @@ from impsched.imprecision import imp_label, scheduling_workloads
 from impsched.listsched import heft_assign
 from impsched.lp import CompiledLP, LinearProgram, _scaling, solve_lp
 from impsched.schedlp import (
+    Schedule,
     asap_basis,
     build_baseline_lp,
     build_qos_lp,
     min_energy_schedule,
+    precedence,
 )
 from impsched.sweep import (
     CSV_HEADER,
@@ -31,7 +33,13 @@ from impsched.sweep import (
     InfeasibleError,
     PipelineError,
 )
-from impsched.taskgraph import GeneratorParams, generate_random_graph, normalize_source
+from impsched.taskgraph import (
+    GeneratorParams,
+    generate_random_graph,
+    normalize_source,
+    parse_task_graph,
+    serialize_task_graph,
+)
 from conftest import decide_by_lp
 from test_lp import highs_objective
 
@@ -197,6 +205,36 @@ class TestMethodRunners:
         out = run_baseline(g, platform4, star)
         assert out.feasible and out.qos == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("one_source", [True, False])
+    def test_one_graph_list_schedules_each_workload_once(self, platform4, monkeypatch, one_source):
+        # eps*, then a proposed and a baseline row without a model: the
+        # baseline reuses the list schedule eps* made of the precise workloads
+        text = serialize_task_graph(generate_random_graph(GeneratorParams(n_tasks=14, seed=3)))
+        if not one_source:  # without t00: the graph that keeps them is the normalized one
+            text = "".join(line for line in text.splitlines(True) if " t00 " not in line)
+        calls = []
+        heft = sweep.heft_assign
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return heft(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "heft_assign", counting)
+        g = parse_task_graph(text)
+        assert (len(g.sources()) == 1) == one_source
+        star = epsilon_star(g, platform4)
+        runners = (run_proposed, run_baseline)
+        outs = [runner(g, platform4, 0.8 * star[0]) for runner in runners]
+        assert len(calls) == 2 and any(out.feasible for out in outs)
+        # the graph keeps derived structure only, never a program or a schedule
+        kinds = (LinearProgram, CompiledLP, MethodModel, Schedule)
+        assert not [o for o in reachable(g) if isinstance(o, kinds)]
+        # the same results as on a copy that has derived nothing yet
+        assert epsilon_star(parse_task_graph(text), platform4) == star
+        for runner, out in zip(runners, outs):
+            alone = runner(parse_task_graph(text), platform4, 0.8 * star[0])
+            assert dataclasses.replace(alone, runtime=0.0) == dataclasses.replace(out, runtime=0.0)
+
 
 class TestWarmSweep:
     @pytest.mark.parametrize("regime,n,seed", [("man_low", 38, 7), ("man_high", 30, 3)])
@@ -226,7 +264,8 @@ class TestWarmSweep:
             # every row of a walk starts from the crash
             assert sol.start == "warm"
             pm, fs = platform4.power, platform4.freqs
-            assert np.array_equal(basis, asap_basis(model.lp, model.gn, model.asg, pm, fs))
+            prec = precedence(model.gn, model.asg)
+            assert np.array_equal(basis, asap_basis(model.lp, model.gn, prec, pm, fs))
             status, ref = highs_objective(comp)
             assert sol.status == status
             if row.feasible:
@@ -419,7 +458,7 @@ class TestClosedForm:
                     assert out.decided_by == "closed-form"
                     if crash is None:
                         pm, fs = platform4.power, platform4.freqs
-                        crash = asap_basis(model.lp, model.gn, model.asg, pm, fs, model.prec)
+                        crash = asap_basis(model.lp, model.gn, model.prec, pm, fs)
                     # the program an LP row at eps solves, from where it starts
                     program = model.program(eps).compile()
                     sol = solve_lp(program, basis=crash)
@@ -504,7 +543,7 @@ class TestLpFallback:
             if method == "baseline":
                 full = min(full, star_model.full.makespan)
             fixed = min_energy_schedule(
-                model.gn, model.asg, fixed_loads(model), {u: 0.0 for u in model.gn.tasks},
+                model.gn, model.prec, fixed_loads(model), {u: 0.0 for u in model.gn.tasks},
                 pm, fs, math.inf,
             ).makespan
             assert fixed < full

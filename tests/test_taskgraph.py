@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,6 +76,21 @@ class TestTopological:
         with pytest.raises(CycleError):
             topological_order(g)
 
+    def test_cycle_raises_on_every_call(self):
+        g = make_graph(
+            [("a", 1, 1, 0, 0.5), ("b", 1, 1, 0, 0.5)],
+            [("a", "b", 0.0), ("b", "a", 0.0)],
+        )
+        for _ in range(3):
+            with pytest.raises(CycleError):
+                topological_order(g)
+
+    def test_returned_list_is_the_callers(self, chain3):
+        order = topological_order(chain3)
+        order.reverse()
+        order.append("x")
+        assert topological_order(chain3) == ["a", "b", "c"]
+
 
 class TestNormalize:
     def test_single_source_unchanged(self, chain3):
@@ -102,6 +119,27 @@ class TestNormalize:
         )
         once = normalize_source(g)
         assert normalize_source(once) is once
+
+    def test_same_object_on_every_call(self):
+        g = make_graph(
+            [("s1", 5, 10, 2, 0.5), ("s2", 6, 12, 3, 0.5), ("t", 4, 8, 1, 0.5)],
+            [("s1", "t", 0.001), ("s2", "t", 0.001)],
+        )
+        assert normalize_source(g) is normalize_source(g)
+
+    @pytest.mark.parametrize("sources", [["a"], ["a", "b"]])
+    def test_graph_holds_no_reference_cycle(self, sources):
+        # reference counting alone frees a graph and what it derived
+        tasks = [(u, 5, 10, 2, 0.5) for u in sources + ["t"]]
+        g = make_graph(tasks, [(u, "t", 0.001) for u in sources])
+        normalize_source(g)
+        refs = [weakref.ref(g), weakref.ref(normalize_source(g))]
+        gc.disable()
+        try:
+            del g
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestDeadline:
