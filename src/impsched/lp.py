@@ -261,9 +261,9 @@ def max_violation(comp: CompiledLP, x: np.ndarray, lo=None, hi=None) -> float:
     worst = 0.0
     if comp.A.shape[0]:
         act = comp.A @ x - comp.b
-        senses = np.array(comp.senses)
-        v = np.where(senses == LE, act, np.where(senses == GE, -act, np.abs(act)))
-        worst = float((v / np.maximum(_scaling(comp)[3], np.abs(comp.b))).max(initial=0.0))
+        row_max, _, (le, ge) = _scaling(comp)[3:]
+        v = np.where(le, act, np.where(ge, -act, np.abs(act)))
+        worst = float((v / np.maximum(row_max, np.abs(comp.b))).max(initial=0.0))
     bscale = np.maximum(1.0, np.maximum(np.abs(x), np.where(np.isfinite(lo), np.abs(lo), 0.0)))
     lov = np.where(np.isfinite(lo), (lo - x) / bscale, 0.0)
     hiv = np.where(np.isfinite(hi), (x - hi) / bscale, 0.0)
@@ -315,10 +315,11 @@ def _equilibrate(shape, rows, cols, M) -> tuple[np.ndarray, np.ndarray]:
 
 def _scaling(comp: CompiledLP):
     """(R, C, the scaled A, the row scales of max_violation, the last basis
-    inverse): everything the solver derives from A alone, computed once per
-    CompiledLP, so that the nodes of a branch-and-bound share it. The first
-    four come from the nonzeros; the last is a one-slot list that
-    _Simplex._refactor fills with (basis, B0^-1)."""
+    inverse, the masks of the '<=' and '>=' rows): everything the solver
+    derives from A and the senses alone, computed once per CompiledLP, so
+    that the nodes of a branch-and-bound share it. The first four come from
+    the nonzeros; the fifth is a one-slot list that _Simplex._refactor fills
+    with (basis, B0^-1)."""
     if comp._scaled is None:
         A = comp.A
         rows, cols = np.nonzero(A)
@@ -330,7 +331,8 @@ def _scaling(comp: CompiledLP):
         As.flags.writeable = False
         row_max = np.zeros(A.shape[0])
         np.maximum.at(row_max, rows, M)
-        comp._scaled = R, C, As, np.maximum(1.0, row_max), [None]
+        senses = np.array(comp.senses)
+        comp._scaled = R, C, As, np.maximum(1.0, row_max), [None], (senses == LE, senses == GE)
     return comp._scaled
 
 
@@ -498,8 +500,9 @@ class _Simplex:
     def _dual_infeasible(self, y, c, fixed) -> bool:
         """Whether, for y = c_B B^-1, a nonbasic column that may move prices
         in: a reduced cost below -tol at its lower bound or above tol at its
-        upper."""
-        d = c - self._prices(y)
+        upper. The reduced costs d = c - y [A | I] become self.d, which the
+        dual simplex goes on from (a later refactor drops them)."""
+        d = self.d = c - self._prices(y)
         tol_d = _dual_tol(c)
         wrong = np.where(self.vstat == 0, d < -tol_d, d > tol_d)
         return bool(np.any(wrong & ~self.in_basis & ~fixed))
@@ -581,16 +584,16 @@ class _Simplex:
             e_r[r] = 0.0
             # s = +1: the leaving basic rises to its lower bound; -1: falls to
             # its upper. Column j can enter when moving it off its bound moves
-            # the basic that way: s * side_j * alpha_j < 0.
+            # the basic that way: s * side_j * alpha_j < 0, by more than the
+            # pivot tolerance relative to the row's largest entry.
             s = 1.0 if below[r] > 0 else -1.0
             a = (s * side) * alpha
-            elig = a < -self.PIV_TOL
-            if not elig.any():
+            elig = np.flatnonzero(a < -self.PIV_TOL * max(1.0, float(np.abs(alpha).max())))
+            if not len(elig):
                 # the cold start, too, takes up to FEAS_TOL of residual as feasible
                 return "infeasible" if infeas[r] > FEAS_TOL else "optimal"
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(elig, np.maximum(side * d, 0.0) / -a, INF)
-            cand = np.nonzero(ratio <= ratio.min() + tol_d)[0]
+            ratio = np.maximum(side[elig] * d[elig], 0.0) / -a[elig]
+            cand = elig[ratio <= ratio.min() + tol_d]
             q = int(cand[np.argmax(np.abs(alpha[cand]))])
 
             w = self._ftran(self._column(q))
@@ -704,7 +707,7 @@ def solve_lp(problem, lower=None, upper=None, basis=None) -> LPSolution:
         return LPSolution("optimal", obj, values, {}, 0)
 
     # power-of-two equilibration: exact to apply and to undo
-    R, C, As, _, factor = _scaling(comp)
+    R, C, As, _, factor, _ = _scaling(comp)
     bs = comp.b * R
     cs = c_min * C
     with np.errstate(invalid="ignore"):

@@ -8,7 +8,9 @@ summed parent output errors at 1. The product X*errsum is linearized exactly.
 
 A node differs from its parent only in binary bounds. It re-solves the
 relaxation from its parent's final basis with the bounded dual simplex of
-the lp module. Every node solves the same CompiledLP, so the program is
+the lp module. A seeded root starts from the crash of the scheduling LPs
+(schedlp.asap_basis) at the seed's assignment, an unseeded one from the
+slack basis. Every node solves the same CompiledLP, so the program is
 compiled and equilibrated once per search.
 """
 
@@ -23,7 +25,9 @@ import numpy as np
 from .energy import FrequencySet, PowerModel
 from .listsched import Assignment
 from .lp import EQ, GE, LE, LinearProgram, LPSolution, max_violation, solve_lp
-from .schedlp import Schedule, _energy_coeffs, _qos_objective, decode_schedule
+from .schedlp import (
+    Schedule, _energy_coeffs, _qos_objective, asap_basis, decode_schedule, precedence,
+)
 from .taskgraph import TaskGraph, topological_order
 
 __all__ = [
@@ -312,6 +316,19 @@ def decode_assignment(model: MilpModel, values: dict[str, float]) -> Assignment:
     return Assignment(proc_of, tuple(order))
 
 
+def _seed_crash(model: MilpModel, values: dict[str, float]) -> np.ndarray:
+    """The root's crash basis at a seed's assignment: schedlp.asap_basis, in
+    which the seq[k,u,v] row of each arc Y = 1 of the seed plays the role of
+    a chain row, with the seed's Pi and Y binaries that are 1 on their upper
+    bound. Every o sits on its upper bound; X, Z and the error columns at 0."""
+    g, col = model.graph, model.lp.var_index
+    prec = precedence(g, decode_assignment(model, values), chain="seq[{k},{u},{v}]")
+    vstat = asap_basis(model.lp, g, prec, model.power, model.freqs)
+    on = [b for b in model.binaries[: -len(model.task_order)] if values[b] > 0.5]
+    vstat[[col[b] for b in on]] = 1
+    return vstat
+
+
 def solve_branch_and_bound(
     model: MilpModel,
     time_limit: float = 600.0,
@@ -325,7 +342,9 @@ def solve_branch_and_bound(
     the most fractional binary. Ties go to the first in model.binaries.
     Each node solves its LP warm from its parent's basis; an integral leaf
     re-solves with every binary fixed, warm from the leaf's own basis.
-    seed_values, when given and feasible, becomes the initial incumbent.
+    seed_values, when given and feasible, becomes the initial incumbent,
+    and the root starts from the crash at its assignment (_seed_crash);
+    without it the root starts from the slack basis.
     A node LP that ends neither optimal nor infeasible stops the search
     with status "unknown".
     """
@@ -335,6 +354,7 @@ def solve_branch_and_bound(
 
     incumbent_obj = None
     incumbent_sol: LPSolution | None = None
+    root_basis = None
     if seed_values is not None:
         x = np.array([seed_values[n] for n in comp.var_names])
         if max_violation(comp, x) <= 1e-6:
@@ -347,6 +367,7 @@ def solve_branch_and_bound(
                 0,
                 "seeded incumbent",
             )
+            root_basis = _seed_crash(model, seed_values)
 
     # open nodes, best bound first, then first pushed:
     # (-bound, push count, lo, hi, the parent LP's basis)
@@ -358,7 +379,7 @@ def solve_branch_and_bound(
         heapq.heappush(heap, (-bound, push_count, lo, hi, basis))
         push_count += 1
 
-    push(float("inf"), comp.lo.copy(), comp.hi.copy(), None)
+    push(float("inf"), comp.lo.copy(), comp.hi.copy(), root_basis)
     explored = 0
     ends = dict.fromkeys(("infeasible", "bound", "integral", "branched", "numerical"), 0)
     lp_iterations = 0
@@ -406,9 +427,8 @@ def solve_branch_and_bound(
             fixed_sol = solve_lp(comp, lower=flo, upper=fhi, basis=sol.basis)
             lp_iterations += fixed_sol.iterations
             if fixed_sol.optimal:
-                decode_assignment(
-                    model, {n: fixed_sol.values[n] for n in comp.var_names}
-                )  # structural sanity; raises on subtours
+                # structural sanity; raises on subtours
+                decode_assignment(model, fixed_sol.values)
                 if better(fixed_sol.objective):
                     incumbent_obj = fixed_sol.objective
                     incumbent_sol = fixed_sol

@@ -215,13 +215,16 @@ class Precedence:
     incoming: dict[str, tuple[tuple[str, str, float], ...]]
 
 
-def precedence(g: TaskGraph, asg: Assignment) -> Precedence:
+def precedence(g: TaskGraph, asg: Assignment, chain: str = "chain[{k},{j}]") -> Precedence:
+    """chain names the row that runs v after u, the j-th pair on processor k
+    (the MILP's seq[k,u,v] rows name their pairs by task)."""
     incoming = {u: [] for u in g.tasks}
     for e in g.edges:
         incoming[e.dst].append((f"prec[{e.src},{e.dst}]", e.src, e.comm))
     for k, seq in enumerate(asg.order):
         for j in range(len(seq) - 1):
-            incoming[seq[j + 1]].append((f"chain[{k},{j}]", seq[j], 0.0))
+            u, v = seq[j], seq[j + 1]
+            incoming[v].append((chain.format(k=k, j=j, u=u, v=v), u, 0.0))
     succ = {u: [] for u in g.tasks}
     for v, rows in incoming.items():
         for _, u, _ in rows:
@@ -264,7 +267,11 @@ def asap_basis(
 ) -> np.ndarray:
     """A crash basis (Bixby 1992) for a program that build_qos_lp or
     build_load_lp wrote for g and an assignment asg, whose rows prec is
-    (precedence(g, asg)): solve_lp(lp, basis=...) starts there.
+    (precedence(g, asg)): solve_lp(lp, basis=...) starts there. The MILP
+    (milp.build_milp) has load, dur and prec rows of the same names and
+    shapes, and its seq[k,u,v] row of an arc Y = 1 plays the role of a
+    chain row, so the same walk crashes a branch-and-bound root; the caller
+    puts the binaries that are 1 on their upper bound.
 
     Every task runs at i*, the frequency of lowest energy per cycle, and
     starts as soon as its prec/chain rows allow; the incoming row that sets

@@ -25,6 +25,7 @@ from impsched.imprecision import forward_pass, imp_label, reduction_objective
 from impsched.lp import max_violation, solve_lp
 from impsched.milp import build_milp, encode_solution, solve_branch_and_bound
 from impsched.sweep import (
+    InfeasibleError,
     PlatformConfig,
     SweepConfig,
     epsilon_star,
@@ -229,6 +230,32 @@ def test_criterion_4_heuristic_vs_optimal(small30):
         f"re-solving the rest, {elapsed:.0f}s",
     )
     assert ok, failures
+
+
+def test_exact_reference_proves_every_point_under_a_binding_deadline(small30):
+    # criterion 4's graphs with their deadlines cut to 0.55: the full-load
+    # schedule misses T_d on some of them, so the LP decides those proposed
+    # points, and the exact reference must still prove each point optimal.
+    # Graphs whose precise loads no longer fit (no eps*) have no point
+    failures = []
+    points = lp_decided = 0
+    for gid, g, platform in small30:
+        g = g.with_deadline(0.55 * g.deadline)
+        try:
+            star, _, _ = epsilon_star(g, platform)
+        except InfeasibleError:
+            continue
+        for ratio in sweep_ratios(0.05):
+            prop = run_proposed(g, platform, ratio * star)
+            if not prop.feasible:
+                break
+            points += 1
+            lp_decided += prop.decided_by == "lp"
+            milp = run_milp(g, platform, ratio * star, time_limit=5.0)
+            if milp.status != "optimal" or milp.qos < prop.qos - 1e-6:
+                failures.append(f"{gid}@{ratio}: milp {milp.status} {milp.qos}, prop {prop.qos}")
+    assert not failures, failures
+    assert points > 100 and lp_decided > 0
 
 
 def test_criterion_5_exact_solver_soundness():

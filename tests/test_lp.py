@@ -591,6 +591,34 @@ class TestWarmStart:
         # an optimal basis is primal feasible: the dual simplex makes no pivot
         assert again.iterations == 0 < cold.iterations
 
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_baseline_walk_on_three_processors_matches_highs(self, seed):
+        # n = 80 man_low on three processors: each baseline row from the
+        # basis the row before ended on, the first from the crash. Under a
+        # pivot tolerance that ignored the scale of the pivot row, the walk
+        # ended "singular basis during refactorization" at 0.90 (seed 0) and
+        # at 0.95 (seed 2)
+        g = generate_random_graph(
+            GeneratorParams(n_tasks=80, mandatory_regime="man_low", seed=seed)
+        )
+        platform = sweep.default_platform(3)
+        star, _, _ = sweep.epsilon_star(g, platform)
+        model = sweep.MethodModel()
+        sweep._fill(model, "baseline", g, platform, star)
+        basis = asap_basis(model.lp, model.gn, model.prec, platform.power, platform.freqs)
+        statuses = []
+        for ratio in sweep.sweep_ratios(0.05):
+            comp = model.program(ratio * star).compile()
+            sol = solve_lp(comp, basis=basis)
+            status, ref = highs_objective(comp)
+            assert sol.start == "warm" and sol.status == status, (ratio, sol.message)
+            statuses.append(status)
+            if status != "optimal":
+                break
+            assert sol.objective == pytest.approx(ref, rel=1e-9)
+            basis = sol.basis
+        assert statuses == ["optimal"] * 4 + ["infeasible"]
+
 
 def kernel_core():
     """A core on four rows (senses <=, >=, <=, ==) loaded with its slack

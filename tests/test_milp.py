@@ -166,6 +166,26 @@ class TestModelStructure:
         assert asg.proc_of == out.assignment.proc_of
 
 
+def exact_instances():
+    """Criterion 5's instances, each as (model, seed values or None), seeded
+    as there with the proposed method's solution."""
+    fs = FrequencySet((DEFAULT_FREQUENCY_SET.freqs[0], DEFAULT_FREQUENCY_SET.freqs[4]))
+    for n, procs, seed, ratio in EXACT_CASES:
+        platform = PlatformConfig(DEFAULT_POWER_MODEL, fs, procs)
+        g = generate_random_graph(
+            GeneratorParams(n_tasks=n, mandatory_regime="man_mixed", seed=500 + seed),
+            f_max=fs.f_max,
+        )
+        gn = normalize_source(g)
+        eps = ratio * epsilon_star(g, platform)[0]
+        model = build_milp(gn, procs, fs, DEFAULT_POWER_MODEL, eps, gn.deadline)
+        prop = run_proposed(g, platform, eps)
+        seed_values = (
+            encode_solution(model, prop.assignment, prop.schedule) if prop.feasible else None
+        )
+        yield model, seed_values
+
+
 class TestBranchAndBound:
     def test_matches_oracle_tiny(self):
         g = generate_random_graph(GeneratorParams(n_tasks=4, seed=2), f_max=FS2.f_max)
@@ -224,22 +244,8 @@ class TestBranchAndBound:
         assert sorted(seen) == sorted(gn.tasks)
 
     def test_node_ends_sum_to_nodes(self):
-        # criterion 5's instances, seeded as there
-        fs = FrequencySet((DEFAULT_FREQUENCY_SET.freqs[0], DEFAULT_FREQUENCY_SET.freqs[4]))
         totals = dict.fromkeys(("infeasible", "bound", "integral", "branched", "numerical"), 0)
-        for n, procs, seed, ratio in EXACT_CASES:
-            platform = PlatformConfig(DEFAULT_POWER_MODEL, fs, procs)
-            g = generate_random_graph(
-                GeneratorParams(n_tasks=n, mandatory_regime="man_mixed", seed=500 + seed),
-                f_max=fs.f_max,
-            )
-            gn = normalize_source(g)
-            eps = ratio * epsilon_star(g, platform)[0]
-            model = build_milp(gn, procs, fs, DEFAULT_POWER_MODEL, eps, gn.deadline)
-            prop = run_proposed(g, platform, eps)
-            seed_values = (
-                encode_solution(model, prop.assignment, prop.schedule) if prop.feasible else None
-            )
+        for model, seed_values in exact_instances():
             res, _, _ = solve_branch_and_bound(model, time_limit=240.0, seed_values=seed_values)
             assert res.status in ("optimal", "infeasible")
             assert set(res.ends) == set(totals)
@@ -255,8 +261,9 @@ class TestBranchAndBound:
 class TestNodeWarmStarts:
     def test_every_node_starts_from_its_parents_basis(self, monkeypatch):
         # a criterion-5-style instance, n = 7, K = 1, seed 509, whose
-        # per-processor flow rows are dependent and whose search loads
-        # about 540 node bases
+        # per-processor flow rows are dependent. With the root crashed at the
+        # seed's assignment, its search solves about 88 LPs (540 from a slack
+        # root), and every one of them, the root included, loads a basis
         fs = FrequencySet((DEFAULT_FREQUENCY_SET.freqs[0], DEFAULT_FREQUENCY_SET.freqs[4]))
         platform = PlatformConfig(DEFAULT_POWER_MODEL, fs, 1)
         g = generate_random_graph(
@@ -285,12 +292,50 @@ class TestNodeWarmStarts:
         monkeypatch.setattr(milp, "solve_lp", counting)
         res, _, _ = solve_branch_and_bound(model, time_limit=240.0, seed_values=seed_values)
         assert res.status == "optimal"
-        assert len(accepted) > 100 and all(accepted)
+        assert len(accepted) == len(iterations) > 50 and all(accepted)
         assert res.lp_iterations == sum(iterations)
 
 
 class _Recorded(Exception):
     """Stops a branch-and-bound once enough node LPs are recorded."""
+
+
+def root_solve(monkeypatch, model, seed_values=None):
+    """The first node LP of a search, as (the program under the root's
+    bounds, its solution); the search stops there."""
+    calls = []
+
+    def recording(comp, lower, upper, basis):
+        sol = solve_lp(comp, lower=lower, upper=upper, basis=basis)
+        calls.append((dataclasses.replace(comp, lo=lower.copy(), hi=upper.copy()), sol))
+        raise _Recorded
+
+    monkeypatch.setattr(milp, "solve_lp", recording)
+    with pytest.raises(_Recorded):
+        solve_branch_and_bound(model, time_limit=60.0, seed_values=seed_values)
+    return calls[0]
+
+
+class TestRootCrash:
+    def test_a_seeded_root_starts_from_the_seeds_crash(self, monkeypatch):
+        seeded = 0
+        for model, seed_values in exact_instances():
+            if seed_values is None:
+                continue
+            seeded += 1
+            root, sol = root_solve(monkeypatch, model, seed_values)
+            assert sol.start == "warm" and sol.optimal
+            # the crash reaches the relaxation's optimum, as the slack start does
+            slack = solve_lp(root)
+            assert slack.start == "slack" and slack.optimal
+            assert sol.objective == pytest.approx(slack.objective, rel=1e-9)
+        # one instance is infeasible at its budget, so it has no seed
+        assert seeded == len(EXACT_CASES) - 1
+
+    def test_an_unseeded_root_starts_from_the_slack_basis(self, monkeypatch):
+        model, _ = next(exact_instances())
+        _, sol = root_solve(monkeypatch, model)
+        assert sol.start == "slack"
 
 
 class TestBranchingRule:
