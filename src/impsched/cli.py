@@ -1,7 +1,7 @@
 """Command-line driver for instance generation, scheduling, sweeps, and checks.
 
-Exit codes: 0 success, 1 usage error, 2 infeasible-only result, 3 internal
-numerical or verification failure.
+Exit codes: 0 success, 1 usage error or output pipe closed by its reader,
+2 infeasible-only result, 3 internal numerical or verification failure.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import configparser
 import contextlib
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -678,7 +679,17 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "config", None) and not Path(args.config).is_file():
             raise UsageError(f"cannot read config file {args.config!r}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`impsched verify ... | head`): send what
+        # is still buffered to os.devnull, not to the closed pipe at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        with contextlib.suppress(OSError):  # a stdout without a descriptor
+            os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except (UsageError, GraphFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

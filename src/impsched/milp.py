@@ -4,7 +4,11 @@ in-repo best-first branch-and-bound over the LP relaxation.
 
 Binary variables: Pi[k,u] assigns task u to processor k; Y[k,u,v] says u runs
 immediately before v on k (with virtual list heads 0 and n+1); X[u] clamps the
-summed parent output errors at 1. The product X*errsum is linearized exactly.
+summed parent output errors at 1 on each task with two or more parents. The
+product X*errsum is linearized exactly. Two exact presolve reductions keep
+binaries out of the search: a task with fewer parents has no clamp, since its
+error sum never exceeds 1, and Y is fixed at 0 wherever v is an ancestor of u
+and either has mandatory cycles, since that order cannot meet the edges.
 
 A node differs from its parent only in binary bounds. It re-solves the
 relaxation from its parent's final basis with the bounded dual simplex of
@@ -46,7 +50,9 @@ INT_TOL = 1e-6
 @dataclass
 class MilpModel:
     lp: LinearProgram
-    binaries: tuple[str, ...]  # Pi block, then Y, then X (the last n); ties branch by position
+    # Pi block, then Y, then X (one per task with two or more parents);
+    # ties branch by position
+    binaries: tuple[str, ...]
     task_order: tuple[str, ...]  # index 1..n maps to task_order[i-1]
     procs: int
     graph: TaskGraph
@@ -98,13 +104,31 @@ def build_milp(
     eps_max: float,
     T_d: float,
 ) -> MilpModel:
-    """Full joint model over the normalized DAG."""
+    """Full joint model over the normalized DAG.
+
+    A task u with two or more parents gets the clamp bit X[u], Z[u] =
+    X[u]*Esum[u] and Ei[u] = X + Esum - Z = min(1, Esum). Any other task has
+    Esum[u] <= 1, so its row is Ei[u] = Esum[u]. Y[k,v,u] is fixed at 0 where
+    u is a proper ancestor of v and mandatory_u + mandatory_v > 0: with v
+    right before u the path u ~> v forces D[u] + D[v] <= 0, while every
+    D >= mandatory / f_max.
+    """
     if procs < 1:
         raise ValueError("need at least one processor")
-    topological_order(g)  # rejects cycles
     tasks = tuple(sorted(g.tasks))
     n = len(tasks)
     idx = {u: i + 1 for i, u in enumerate(tasks)}  # 1..n; 0 / n+1 virtual
+    anc: dict[str, set[str]] = {u: set() for u in tasks}  # proper ancestors
+    for u in topological_order(g):  # rejects cycles
+        for v in g.children(u):
+            anc[v] |= anc[u] | {u}
+    # the index pairs (v, u) whose Y[k,v,u] is fixed at 0
+    dead = {
+        (idx[v], idx[u])
+        for v in tasks
+        for u in anc[v]
+        if g.task(u).mandatory + g.task(v).mandatory > 0
+    }
 
     lp = LinearProgram()
     for u in tasks:
@@ -129,11 +153,13 @@ def build_milp(
             for vi in range(1, n + 2):
                 if vi == ui:
                     continue
-                y_names.append(lp.add_var(f"Y[{k},{ui},{vi}]", 0.0, 1.0))
+                hi = 0.0 if (ui, vi) in dead else 1.0
+                y_names.append(lp.add_var(f"Y[{k},{ui},{vi}]", 0.0, hi))
     x_names = []
     for u in tasks:
-        x_names.append(lp.add_var(f"X[{u}]", 0.0, 1.0))
-        lp.add_var(f"Z[{u}]", 0.0, float(n))
+        if len(g.parents(u)) > 1:
+            x_names.append(lp.add_var(f"X[{u}]", 0.0, 1.0))
+            lp.add_var(f"Z[{u}]", 0.0, float(n))
 
     # timing rows (same shape as the LP stage, minus fixed chains)
     for u in tasks:
@@ -206,18 +232,17 @@ def build_milp(
         for p in g.parents(u):
             coeffs[f"Eo[{p}]"] = -1.0
         lp.add_row(f"errsum[{u}]", coeffs, EQ, 0.0)
-        # clamp binary: X = 1 exactly when the parent error sum exceeds 1
-        lp.add_row(
-            f"clamp_lo[{u}]", {f"X[{u}]": float(n), f"Esum[{u}]": -1.0}, GE, -1.0
-        )
-        lp.add_row(f"clamp_hi[{u}]", {f"X[{u}]": 1.0, f"Esum[{u}]": -1.0}, LE, 0.0)
-        linearize_product(lp, f"Z[{u}]", f"X[{u}]", f"Esum[{u}]", float(n))
-        lp.add_row(
-            f"inerr[{u}]",
-            {f"Ei[{u}]": 1.0, f"X[{u}]": -1.0, f"Esum[{u}]": -1.0, f"Z[{u}]": 1.0},
-            EQ,
-            0.0,
-        )
+        if len(g.parents(u)) > 1:
+            # clamp binary: X = 1 exactly when the parent error sum exceeds 1
+            lp.add_row(
+                f"clamp_lo[{u}]", {f"X[{u}]": float(n), f"Esum[{u}]": -1.0}, GE, -1.0
+            )
+            lp.add_row(f"clamp_hi[{u}]", {f"X[{u}]": 1.0, f"Esum[{u}]": -1.0}, LE, 0.0)
+            linearize_product(lp, f"Z[{u}]", f"X[{u}]", f"Esum[{u}]", float(n))
+            coeffs = {f"Ei[{u}]": 1.0, f"X[{u}]": -1.0, f"Esum[{u}]": -1.0, f"Z[{u}]": 1.0}
+        else:
+            coeffs = {f"Ei[{u}]": 1.0, f"Esum[{u}]": -1.0}
+        lp.add_row(f"inerr[{u}]", coeffs, EQ, 0.0)
         # executed cycles = mandatory + compensation + executed optional
         coeffs = {f"N[{u},{i}]": 1.0 for i in range(len(fs))}
         coeffs[f"Ei[{u}]"] = -float(t.extension)
@@ -257,9 +282,10 @@ def encode_solution(
         esum = sum(values[f"Eo[{p}]"] for p in g.parents(u))
         x = 1.0 if esum > 1.0 + 1e-12 else 0.0
         values[f"Esum[{u}]"] = esum
-        values[f"X[{u}]"] = x
-        values[f"Z[{u}]"] = x * esum
         values[f"Ei[{u}]"] = x + esum - x * esum
+        if len(g.parents(u)) > 1:
+            values[f"X[{u}]"] = x
+            values[f"Z[{u}]"] = x * esum
     for k in range(model.procs):
         for u in g.tasks:
             values[f"Pi[{k},{u}]"] = 1.0 if asg.proc_of[u] == k else 0.0
@@ -324,7 +350,7 @@ def _seed_crash(model: MilpModel, values: dict[str, float]) -> np.ndarray:
     g, col = model.graph, model.lp.var_index
     prec = precedence(g, decode_assignment(model, values), chain="seq[{k},{u},{v}]")
     vstat = asap_basis(model.lp, g, prec, model.power, model.freqs)
-    on = [b for b in model.binaries[: -len(model.task_order)] if values[b] > 0.5]
+    on = [b for b in model.binaries if not b.startswith("X[") and values[b] > 0.5]
     vstat[[col[b] for b in on]] = 1
     return vstat
 
@@ -338,8 +364,9 @@ def solve_branch_and_bound(
 
     While some free clamp bit X[u] is fractional, branches on the most
     fractional of them: with X fractional, Ei = X + Esum - Z can fall below
-    min(1, Esum), which leaves the LP bound vacuous. Otherwise branches on
-    the most fractional binary. Ties go to the first in model.binaries.
+    min(1, Esum), which leaves the LP bound vacuous. Otherwise, and on a
+    model without clamp bits, branches on the most fractional binary. Ties
+    go to the first in model.binaries.
     Each node solves its LP warm from its parent's basis; an integral leaf
     re-solves with every binary fixed, warm from the leaf's own basis.
     seed_values, when given and feasible, becomes the initial incumbent,
@@ -351,6 +378,8 @@ def solve_branch_and_bound(
     t0 = time.monotonic()
     comp = model.lp.compile()
     bin_idx = np.array([comp.var_index[b] for b in model.binaries], dtype=np.int64)
+    # the clamp bits X come last
+    clamp_start = len(bin_idx) - sum(b.startswith("X[") for b in model.binaries)
 
     incumbent_obj = None
     incumbent_sol: LPSolution | None = None
@@ -436,9 +465,7 @@ def solve_branch_and_bound(
 
         # most fractional X[u] while one is fractional, else most fractional
         # binary; ties resolved by position in the binaries tuple
-        first = len(bin_idx) - len(model.task_order)
-        if frac[first:].max() <= INT_TOL:
-            first = 0
+        first = clamp_start if frac[clamp_start:].max(initial=0.0) > INT_TOL else 0
         best_j = None
         best_score = -1.0
         for pos in range(first, len(bin_idx)):

@@ -1,5 +1,6 @@
 import io
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -510,3 +511,22 @@ class TestUnwritableOutput:
         assert err.startswith(f"error: cannot write {target!r}: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
         assert existing.read_text() == "kept\n"
+
+
+class TestClosedOutputPipe:
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_exits_1_without_a_traceback(self, failing, graph_file, tmp_path, monkeypatch, capsys):
+        # a reader that stops early (`impsched verify G S | head -3`) breaks
+        # the pipe on a write, or, with everything buffered, on the final flush
+        sched = tmp_path / "s.txt"
+        assert run(f"baseline --procs 2 {graph_file} --eps-ratio 0.85 --out {sched}") == 0
+        capsys.readouterr()
+
+        class ClosedPipe(io.StringIO):
+            def broken(self, *args):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        setattr(ClosedPipe, failing, ClosedPipe.broken)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert run(f"verify --procs 2 {graph_file} {sched}") == 1
+        assert capsys.readouterr().err == ""

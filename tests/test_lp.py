@@ -1013,11 +1013,12 @@ class TestFactorCache:
         assert_inverse_matches(core)
 
     def test_branch_and_bound_matches_a_run_without_the_cache(self, monkeypatch):
-        # criterion 5's instance n = 5, K = 1, seed 510
+        # a criterion-5-style instance, n = 5, K = 1, seed 501, whose seeded
+        # search solves 7 LPs
         fs = FrequencySet((DEFAULT_FREQUENCY_SET.freqs[0], DEFAULT_FREQUENCY_SET.freqs[4]))
         platform = sweep.PlatformConfig(DEFAULT_POWER_MODEL, fs, 1)
         g = generate_random_graph(
-            GeneratorParams(n_tasks=5, mandatory_regime="man_mixed", seed=510), f_max=fs.f_max
+            GeneratorParams(n_tasks=5, mandatory_regime="man_mixed", seed=501), f_max=fs.f_max
         )
         gn = normalize_source(g)
         eps = 0.85 * sweep.epsilon_star(g, platform)[0]

@@ -258,19 +258,104 @@ class TestBranchAndBound:
         assert all(totals[end] > 0 for end in ("infeasible", "bound", "branched"))
 
 
+class TestPresolveReductions:
+    def test_clamp_exists_exactly_on_tasks_with_two_or_more_parents(self):
+        gn = normalize_source(
+            generate_random_graph(GeneratorParams(n_tasks=8, seed=4), f_max=FS2.f_max)
+        )
+        multi = {u for u in gn.tasks if len(gn.parents(u)) > 1}
+        assert multi and len(multi) < len(gn.tasks)
+        model = build_milp(gn, 2, FS2, PM, 1.0, gn.deadline)
+        lp = model.lp
+        assert {v[2:-1] for v in lp.var_names if v[0] in "XZ"} == multi
+        assert {b[2:-1] for b in model.binaries if b.startswith("X[")} == multi
+        for prefix in ("clamp_lo", "clamp_hi"):
+            assert {r[len(prefix) + 1:-1] for r in lp.row_names if r.startswith(prefix)} == multi
+        for prefix in ("linz_cap", "linz_le", "linz_ge"):
+            assert {r[len(prefix) + 3:-2] for r in lp.row_names if r.startswith(prefix)} == multi
+        assert {r for r in lp.row_names if r.startswith("inerr")} == {
+            f"inerr[{u}]" for u in gn.tasks
+        }
+
+    def test_single_parent_at_full_error_matches_oracle(self):
+        # b's only parent a discards its optional work, so Esum[b] = 1 and b
+        # runs its full extension: the budget covers a's mandatory part and
+        # all of b, 1000 + (1000 + 300 + 400) cycles at the cheap frequency
+        g = make_graph(
+            [("a", 1000, 500, 0, 0.5), ("b", 1000, 400, 300, 0.5)],
+            [("a", "b", 0.0)],
+            deadline=0.01,
+        )
+        eps = 2700 * PM.alpha * (1e9) ** 2 * (1 + 1e-9)
+        model = build_milp(g, 2, FS2, PM, eps, g.deadline)
+        assert not any(b.startswith("X[") for b in model.binaries)
+        res, sched, _ = solve_branch_and_bound(model, time_limit=30)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(
+            exhaustive_best_qos(g, 2, PM, FS2, eps, g.deadline), abs=1e-6
+        )
+        assert res.objective == pytest.approx(1.0, abs=1e-6)
+        assert sched.opt_cycles["a"] == pytest.approx(0.0, abs=1e-6)
+        assert sum(sched.cycles[("b", i)] for i in range(len(FS2))) == pytest.approx(1700, abs=1e-3)
+
+    def test_binding_clamp_matches_oracle(self):
+        # c's parents p1 and p2 both discard their optional work: Esum[c] = 2
+        # clamps to an input error of 1, the only way the budget runs all of c
+        g = make_graph(
+            [
+                ("s", 100, 100, 0, 0.5),
+                ("p1", 1000, 500, 0, 0.5),
+                ("p2", 1000, 500, 0, 0.5),
+                ("c", 1000, 400, 300, 0.5),
+            ],
+            [("s", "p1", 0.0), ("s", "p2", 0.0), ("p1", "c", 0.0), ("p2", "c", 0.0)],
+            deadline=0.01,
+        )
+        eps = 3800 * PM.alpha * (1e9) ** 2 * (1 + 1e-9)
+        model = build_milp(g, 2, FS2, PM, eps, g.deadline)
+        assert [b for b in model.binaries if b.startswith("X[")] == ["X[c]"]
+        res, sched, _ = solve_branch_and_bound(model, time_limit=30)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(
+            exhaustive_best_qos(g, 2, PM, FS2, eps, g.deadline), abs=1e-6
+        )
+        assert res.objective == pytest.approx(1.0, abs=1e-6)
+        assert sched.opt_cycles["p1"] + sched.opt_cycles["p2"] == pytest.approx(0.0, abs=1e-6)
+        assert sum(sched.cycles[("c", i)] for i in range(len(FS2))) == pytest.approx(1700, abs=1e-3)
+
+    def test_y_is_fixed_only_before_an_ancestor_with_mandatory_cycles(self):
+        # chain a -> b -> c with a and b free of mandatory cycles
+        g = make_graph(
+            [("a", 0, 100, 0, 0.5), ("b", 0, 100, 0, 0.5), ("c", 100, 100, 0, 0.5)],
+            [("a", "b", 0.0), ("b", "c", 0.0)],
+        )
+        model = build_milp(g, 2, FS2, PM, 1.0, g.deadline)
+        comp = model.lp.compile()
+        idx = {u: i + 1 for i, u in enumerate(model.task_order)}
+        fixed = {
+            name for name in model.binaries
+            if name.startswith("Y[") and comp.hi[comp.var_index[name]] == 0.0
+        }
+        assert fixed == {
+            f"Y[{k},{idx[v]},{idx[u]}]" for k in range(2) for v, u in (("c", "a"), ("c", "b"))
+        }
+
+
 class TestNodeWarmStarts:
     def test_every_node_starts_from_its_parents_basis(self, monkeypatch):
-        # a criterion-5-style instance, n = 7, K = 1, seed 509, whose
-        # per-processor flow rows are dependent. With the root crashed at the
-        # seed's assignment, its search solves about 88 LPs (540 from a slack
-        # root), and every one of them, the root included, loads a basis
-        fs = FrequencySet((DEFAULT_FREQUENCY_SET.freqs[0], DEFAULT_FREQUENCY_SET.freqs[4]))
+        # criterion 4's graph small_9 (n = 10, three frequencies, seed 309)
+        # on one processor at 0.8 eps*, whose per-processor flow rows are
+        # dependent. With the root crashed at the seed's assignment, its
+        # search solves about 120 LPs, and every one of them, the root
+        # included, loads a basis
+        f = DEFAULT_FREQUENCY_SET.freqs
+        fs = FrequencySet((f[0], f[2], f[4]))
         platform = PlatformConfig(DEFAULT_POWER_MODEL, fs, 1)
         g = generate_random_graph(
-            GeneratorParams(n_tasks=7, mandatory_regime="man_mixed", seed=509), f_max=fs.f_max
+            GeneratorParams(n_tasks=10, mandatory_regime="man_mixed", seed=309), f_max=fs.f_max
         )
         gn = normalize_source(g)
-        eps = 0.85 * epsilon_star(g, platform)[0]
+        eps = 0.8 * epsilon_star(g, platform)[0]
         model = build_milp(gn, 1, fs, DEFAULT_POWER_MODEL, eps, gn.deadline)
         prop = run_proposed(g, platform, eps)
         seed_values = encode_solution(model, prop.assignment, prop.schedule)
@@ -340,12 +425,12 @@ class TestRootCrash:
 
 class TestBranchingRule:
     def test_branches_on_a_fractional_clamp_bit_first(self, monkeypatch):
-        # n = 4, K = 1, seed 503 at 0.85 eps*: the root relaxation has a Pi or
-        # Y binary near 0.48 and a clamp bit X[u] at 0.25
+        # n = 5, K = 1, seed 509 at 0.85 eps*: the root relaxation has a Pi or
+        # Y binary near 0.38 and a clamp bit X[u] at 0.2
         fs = FrequencySet((DEFAULT_FREQUENCY_SET.freqs[0], DEFAULT_FREQUENCY_SET.freqs[4]))
         platform = PlatformConfig(DEFAULT_POWER_MODEL, fs, 1)
         g = generate_random_graph(
-            GeneratorParams(n_tasks=4, mandatory_regime="man_mixed", seed=503), f_max=fs.f_max
+            GeneratorParams(n_tasks=5, mandatory_regime="man_mixed", seed=509), f_max=fs.f_max
         )
         gn = normalize_source(g)
         eps = 0.85 * epsilon_star(g, platform)[0]
@@ -364,8 +449,8 @@ class TestBranchingRule:
             solve_branch_and_bound(model, time_limit=60.0)
         (root_lo, root_hi, root), (lo, hi, _) = calls
         score = {b: min(root.values[b], 1.0 - root.values[b]) for b in model.binaries}
-        clamps = model.binaries[-len(model.task_order):]
-        assert all(b.startswith("X[") for b in clamps)
+        clamps = tuple(b for b in model.binaries if b.startswith("X["))
+        assert clamps and model.binaries[-len(clamps):] == clamps
         others = max(score[b] for b in model.binaries if b not in clamps)
         assert 1e-6 < max(score[b] for b in clamps) < others - 0.1
         # the first child differs from the root in one bound: its branching variable
