@@ -26,6 +26,7 @@ from .imprecision import (
     effective_workloads,
     format_labeling,
     imp_label,
+    initial_workloads,
     precise_workloads,
 )
 from .listsched import Assignment, format_assignment
@@ -46,6 +47,7 @@ from .sweep import (
     sweep_graph,
 )
 from .taskgraph import (
+    CycleError,
     GeneratorError,
     GeneratorParams,
     GraphFormatError,
@@ -56,6 +58,7 @@ from .taskgraph import (
     normalize_source,
     parse_task_graph,
     serialize_task_graph,
+    topological_order,
     validate_graph,
 )
 from .verify import WorkloadContract, idle_static_energy, verify_schedule
@@ -370,10 +373,19 @@ def _platform_from(args) -> PlatformConfig:
 
 
 def _read_graph(path: str) -> TaskGraph:
+    """The graph in path; one no command can schedule (no task, or a cycle)
+    is a usage error naming the file."""
     try:
-        return parse_task_graph(Path(path).read_text())
+        g = parse_task_graph(Path(path).read_text())
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read graph {path!r}: {exc}")
+    if not g.tasks:
+        raise UsageError(f"graph {path!r} has no task")
+    try:
+        topological_order(g)
+    except CycleError as exc:
+        raise UsageError(f"graph {path!r}: {exc}")
+    return g
 
 
 def _unwritable(path, exc: OSError) -> UsageError:
@@ -537,6 +549,8 @@ def cmd_verify(args) -> int:
         raise UsageError("schedule tasks differ from the graph's tasks")
     if any(u not in g.tasks or not 0 <= i < len(platform.freqs) for u, i in sched.cycles):
         raise UsageError("schedule cycles name a task or frequency the graph or platform lacks")
+    if missing := [u for u in g.exits() if u not in sched.opt_cycles]:
+        raise UsageError(f"schedule file has no 'opt' line for exit task {missing[0]}")
     if mode == "proposed":
         if labeling is None:
             raise UsageError("proposed schedule file lacks label lines")
@@ -548,7 +562,7 @@ def cmd_verify(args) -> int:
     elif mode == "baseline":
         contract = WorkloadContract.from_labeling(g, precise_workloads(g))
     elif mode == "min-energy":
-        contract = WorkloadContract.precise_initial(g)
+        contract = WorkloadContract.from_labeling(g, initial_workloads(g))
     elif mode == "milp":
         contract = WorkloadContract.from_milp_schedule(g, sched)
     else:

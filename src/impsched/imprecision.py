@@ -28,7 +28,7 @@ __all__ = [
     "reduction_objective",
     "effective_workloads",
     "precise_workloads",
-    "scheduling_workloads",
+    "initial_workloads",
     "format_labeling",
 ]
 
@@ -53,16 +53,22 @@ class Labeling:
 
 @dataclass(frozen=True)
 class EffectiveWorkloads:
-    """Cycle counts implied by a labeling.
+    """Cycle counts implied by a labeling: per task, the load window
+    [fixed, full] of cycles it must and may run.
 
     mandatory_eff -- per task: mandatory plus extension if extended
-    optional_fixed -- per non-exit task: optional if precise else 0
-    total -- per non-exit task: mandatory_eff + optional_fixed
+    optional_fixed -- per task whose optional cycles are decided: optional
+        if precise else 0. Every non-exit task; the exits too under
+        initial_workloads, which leaves no optional cycle free
+    fixed -- per task: mandatory_eff, plus its optional_fixed entry if any
+    full -- per task: fixed, plus the whole optional part on a free exit
+        (an exit without an optional_fixed entry)
     """
 
     mandatory_eff: dict[str, int]
     optional_fixed: dict[str, int]
-    total: dict[str, int]
+    fixed: dict[str, int]
+    full: dict[str, int]
 
 
 def output_error(optional: float, executed: float) -> float:
@@ -219,35 +225,42 @@ def check_labeling(g: TaskGraph, lab: Labeling) -> None:
 
 def effective_workloads(g: TaskGraph, lab: Labeling) -> EffectiveWorkloads:
     check_labeling(g, lab)
-    exits = set(g.exits())
-    mandatory_eff = {}
-    optional_fixed = {}
-    total = {}
+    mandatory_eff, optional_fixed, fixed, full = {}, {}, {}, {}
     for u in g.tasks:
         t = g.task(u)
-        mandatory_eff[u] = t.mandatory + (t.extension if lab.extended[u] else 0)
-        if u not in exits:
+        m = mandatory_eff[u] = t.mandatory + (t.extension if lab.extended[u] else 0)
+        if u in lab.precise:
             optional_fixed[u] = t.optional if lab.precise[u] else 0
-            total[u] = mandatory_eff[u] + optional_fixed[u]
-    return EffectiveWorkloads(mandatory_eff, optional_fixed, total)
+            fixed[u] = full[u] = m + optional_fixed[u]
+        else:  # an exit: its optional cycles are the scheduler's
+            fixed[u], full[u] = m, m + t.optional
+    return EffectiveWorkloads(mandatory_eff, optional_fixed, fixed, full)
 
 
 def precise_workloads(g: TaskGraph) -> EffectiveWorkloads:
     """Workloads of the labeling that keeps every non-exit task precise:
-    nothing is extended, so every task keeps its initial workload. The
-    baseline and the eps* reference schedule these."""
+    nothing is extended, so every task's full load is its initial workload.
+    The baseline schedules these."""
     exits = set(g.exits())
     precise = {u: True for u in g.tasks if u not in exits}
     return effective_workloads(g, Labeling(precise, {u: False for u in g.tasks}))
 
 
+def initial_workloads(g: TaskGraph) -> EffectiveWorkloads:
+    """Every task at its initial workload, the exits' optional parts
+    included: no optional cycle is left free. eps* schedules these."""
+    initial = {u: t.initial_workload for u, t in g.tasks.items()}
+    return EffectiveWorkloads(
+        {u: t.mandatory for u, t in g.tasks.items()},
+        {u: t.optional for u, t in g.tasks.items()},
+        initial,
+        dict(initial),
+    )
+
+
 def reduction_objective(g: TaskGraph, lab: Labeling) -> int:
     """Cycles the labeling commits outside exit-task optional work."""
-    wl = effective_workloads(g, lab)
-    exits = set(g.exits())
-    return sum(wl.total[u] for u in g.tasks if u not in exits) + sum(
-        wl.mandatory_eff[u] for u in exits
-    )
+    return sum(effective_workloads(g, lab).fixed.values())
 
 
 def backward_pass(g: TaskGraph, lab: Labeling) -> Labeling:
@@ -309,19 +322,6 @@ def imp_label(g: TaskGraph) -> tuple[Labeling, EffectiveWorkloads]:
     """Forward then backward pass; returns the labeling and its workloads."""
     lab = backward_pass(g, forward_pass(g))
     return lab, effective_workloads(g, lab)
-
-
-def scheduling_workloads(g: TaskGraph, wl: EffectiveWorkloads) -> dict[str, int]:
-    """Cycles per task for the list scheduler: labeled totals for non-exit
-    tasks, extended mandatory plus full optional for exit tasks."""
-    exits = set(g.exits())
-    out = {}
-    for u in g.tasks:
-        if u in exits:
-            out[u] = wl.mandatory_eff[u] + g.task(u).optional
-        else:
-            out[u] = wl.total[u]
-    return out
 
 
 def format_labeling(g: TaskGraph, lab: Labeling) -> str:

@@ -1,12 +1,14 @@
 """The LP of the scheduling stage and schedule extraction.
 
-One builder, build_qos_lp, writes the program from the workloads of a
-labeling: the timing core (durations, deadline, precedence with unconditional
-edge costs, per-processor chaining from the list-scheduler order), one load
-row per task, and either the energy budget with the QoS objective or, without
-a budget, minimum energy. The baseline and the minimum-energy program (its
-optimum is the sweep anchor) are that program under the labeling that keeps
-every task precise (imprecision.precise_workloads).
+One builder, build_qos_lp, writes the program from the load windows of a
+labeling (imprecision.EffectiveWorkloads): the timing core (durations,
+deadline, precedence with unconditional edge costs, per-processor chaining
+from the list-scheduler order), one load row per task, and either the energy
+budget with the QoS objective or, without a budget, minimum energy. The
+baseline is that program under the labeling that keeps every task precise
+(imprecision.precise_workloads); the minimum-energy program (its optimum is
+the sweep anchor) runs every task at its initial workload
+(imprecision.initial_workloads).
 
 One as-soon-as-possible walk at the frequency of lowest energy per cycle
 (over the precedence rows of a graph and assignment, built once by
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import FrequencySet, PowerModel, cheapest_frequency, energy_per_cycle
-from .imprecision import EffectiveWorkloads, precise_workloads, precision, qos
+from .imprecision import EffectiveWorkloads, initial_workloads, precise_workloads, precision, qos
 from .listsched import Assignment
 from .lp import EQ, INF, LE, LinearProgram, LPSolution
 from .taskgraph import TaskGraph
@@ -127,32 +129,24 @@ def build_qos_lp(
     eps_max: float | None,
     T_d: float,
 ) -> LinearProgram:
-    """The scheduling program on the workloads of a labeling.
+    """The scheduling program on the load windows of a labeling.
 
-    Non-exit tasks execute exactly their labeled workload. Under an energy
-    budget eps_max, exit tasks run their (possibly extended) mandatory part
-    plus a free optional amount and the program maximizes mean exit
-    precision. Without one (None), exit tasks run their optional part in full
-    too and the program minimizes energy (build_load_lp).
+    Under an energy budget eps_max, every task u runs wl.fixed[u] cycles,
+    plus on a free exit an optional amount o[u] of up to
+    wl.full[u] - wl.fixed[u], and the program maximizes mean exit precision.
+    Without one (None), every task runs wl.full[u] and the program minimizes
+    energy (build_load_lp).
     """
-    exits = set(g.exits())
     if eps_max is None:
-        loads = {
-            u: float(wl.mandatory_eff[u] + g.task(u).optional) if u in exits
-            else float(wl.total[u])
-            for u in g.tasks
-        }
-        return build_load_lp(g, asg, loads, pm, fs, T_d)
+        return build_load_lp(g, asg, {u: float(w) for u, w in wl.full.items()}, pm, fs, T_d)
     lp = LinearProgram()
     _add_timing_core(lp, g, asg, fs, T_d)
     for u in g.tasks:
-        total = {f"N[{u},{i}]": 1.0 for i in range(len(fs))}
-        if u not in exits:
-            lp.add_row(f"load[{u}]", total, EQ, float(wl.total[u]))
-        else:
-            lp.add_var(f"o[{u}]", 0.0, float(g.task(u).optional))
-            total[f"o[{u}]"] = -1.0
-            lp.add_row(f"load[{u}]", total, EQ, float(wl.mandatory_eff[u]))
+        load = {f"N[{u},{i}]": 1.0 for i in range(len(fs))}
+        if u not in wl.optional_fixed:
+            lp.add_var(f"o[{u}]", 0.0, float(wl.full[u] - wl.fixed[u]))
+            load[f"o[{u}]"] = -1.0
+        lp.add_row(f"load[{u}]", load, EQ, float(wl.fixed[u]))
     lp.add_row("energy", _energy_coeffs(g, pm, fs), LE, eps_max)
     _qos_objective(lp, g)
     return lp
@@ -188,7 +182,7 @@ def build_min_energy_lp(
     The optimum is the reference budget for energy sweeps: the cheapest way
     to run all initial workloads within the deadline on this assignment.
     """
-    return build_qos_lp(g, precise_workloads(g), asg, pm, fs, None, T_d)
+    return build_qos_lp(g, initial_workloads(g), asg, pm, fs, None, T_d)
 
 
 def build_baseline_lp(
@@ -370,34 +364,29 @@ def knapsack_loads(
 ) -> tuple[dict[str, float], dict[str, float]] | None:
     """The loads and executed optional cycles of an optimum of the QoS
     program (build_qos_lp) under eps_max, where the as-soon-as-possible
-    schedule of the full loads (imprecision.scheduling_workloads) at i*
-    meets T_d; None where no schedule fits eps_max. The caller checks the
-    deadline condition, min_energy_schedule of the loads gives the schedule.
+    schedule of the full loads (wl.full) at i* meets T_d; None where no
+    schedule fits eps_max. The caller checks the deadline condition,
+    min_energy_schedule of the loads gives the schedule.
 
     Why it is exact where that schedule meets T_d:
     - loads at or below the full loads give an as-soon-as-possible schedule
       no longer than the full one, so no timing row binds;
     - every cycle costs at least c*, the energy per cycle at i*, and that
       schedule runs every cycle at c*;
-    - so the program's feasible set in o is {c* (sum fixed + sum o) <= eps_max,
-      0 <= o <= O}: a fractional knapsack. The fixed loads are wl.total on
-      non-exit tasks and wl.mandatory_eff on exits. A budget is feasible
-      exactly when eps_max >= c* sum fixed, and the rest of it fills each
+    - so the program's feasible set in o is {c* (sum wl.fixed + sum o) <=
+      eps_max, 0 <= o <= O}: a fractional knapsack. A budget is feasible
+      exactly when eps_max >= c* sum wl.fixed, and the rest of it fills each
       exit's optional cycles in decreasing order of the QoS weight
       (1 - threshold) / optional, ties in task order.
     """
     _, c_star = cheapest_frequency(pm, fs)
-    exits = g.exits()
-    is_exit = set(exits)
-    loads = {
-        u: float(wl.mandatory_eff[u] if u in is_exit else wl.total[u]) for u in g.tasks
-    }
+    loads = {u: float(w) for u, w in wl.fixed.items()}
     fixed = sum(loads.values())
     if c_star * fixed > eps_max:
         return None
     spare = max(0.0, eps_max / c_star - fixed)
-    opt = {u: 0.0 if u in is_exit else float(wl.optional_fixed[u]) for u in g.tasks}
-    for u in sorted(exits, key=lambda u: -(1.0 - g.task(u).threshold) / g.task(u).optional):
+    opt = {u: float(wl.optional_fixed.get(u, 0)) for u in g.tasks}
+    for u in sorted(g.exits(), key=lambda u: -(1.0 - g.task(u).threshold) / g.task(u).optional):
         take = min(float(g.task(u).optional), spare)
         opt[u] = take
         loads[u] += take

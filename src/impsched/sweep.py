@@ -6,16 +6,19 @@ infeasible, then probes a couple more points to document the cliff. Every
 feasible schedule is re-verified before a row is emitted.
 
 A walk hands every row of a method one MethodModel: the first row fills it
-(normalized graph, labeling, assignment, verify contract) and decides, with
-one as-soon-as-possible walk, whether the schedule of the full loads (every
-exit's optional work included) at the frequency of lowest energy per cycle
-meets the deadline. Where it does, no timing row of the scheduling LP can
-bind, so the LP is a fractional knapsack over the exits' optional cycles and
-every row is decided in closed form (schedlp.knapsack_loads), with no LP built.
+(normalized graph, labeling and its load windows, assignment, verify
+contract) and decides, with one as-soon-as-possible walk, whether the
+schedule of the full loads (every exit's optional work included) at the
+frequency of lowest energy per cycle meets the deadline. Where it does, no
+timing row of the scheduling LP can bind, so the LP is a fractional knapsack
+over the exits' optional cycles and every row is decided in closed form
+(schedlp.knapsack_loads), with no LP built.
 eps* is still solved by its LP, once per graph: where the closed form holds,
 the two must agree, which checks on every graph the premise that the rows'
 closed form rests on. The normalized graph keeps its list schedules per
-platform, labeled and precise, so eps* and the baseline share theirs.
+platform, of the labeled and of the initial full loads: the baseline (every
+non-exit task precise, imprecision.precise_workloads) and eps* (every task
+at its initial workload, imprecision.initial_workloads) share the latter.
 
 Elsewhere a row falls back to the LP. The model compiles its QoS program
 and builds the crash schedlp.asap_basis once, on the first such row; each
@@ -43,8 +46,8 @@ from .imprecision import (
     EffectiveWorkloads,
     Labeling,
     imp_label,
+    initial_workloads,
     precise_workloads,
-    scheduling_workloads,
 )
 from .listsched import Assignment, heft_assign
 from .lp import CompiledLP, LinearProgram, solve_lp
@@ -165,7 +168,6 @@ class MethodModel:
     labeling: Labeling | None = None
     workloads: EffectiveWorkloads | None = None
     contract: WorkloadContract | None = None
-    fixed_opt: dict[str, float] | None = None
     prec: Precedence | None = None
     full: Schedule | None = None
     method: str = ""
@@ -219,16 +221,20 @@ def _checked(g, sched, asg, platform, eps_max, contract, method) -> None:
         )
 
 
-def _fill(model: MethodModel, method: str, g, platform, eps_max=None) -> None:
-    """Fill an empty model: normalize, label (proposed) or keep every task
-    precise (baseline, minimum-energy), list-schedule the full loads, and
-    schedule them as soon as possible at the cheapest frequency. Without a
-    budget the model is eps*'s, and the contract pins every task to its
-    initial workload. The list schedule and its precedence rows are kept on
-    the normalized graph, keyed by platform and by labeled or precise loads."""
+def _fill(model: MethodModel, method: str, g, platform) -> None:
+    """Fill an empty model: normalize, take the load windows (the labeling's
+    for proposed, every non-exit task precise for baseline, every task at its
+    initial workload for minimum-energy), list-schedule the full loads, and
+    schedule them as soon as possible at the cheapest frequency. The list
+    schedule and its precedence rows are kept on the normalized graph, keyed
+    by platform and by labeled or initial full loads."""
     gn = normalize_source(g)
-    lab, wl = imp_label(gn) if method == "proposed" else (None, precise_workloads(gn))
-    full = {u: float(w) for u, w in scheduling_workloads(gn, wl).items()}
+    if method == "proposed":
+        lab, wl = imp_label(gn)
+    else:
+        lab = None
+        wl = precise_workloads(gn) if method == "baseline" else initial_workloads(gn)
+    full = {u: float(w) for u, w in wl.full.items()}
     key = (platform, lab is not None)
     if key not in gn._derived:
         asg = heft_assign(
@@ -243,17 +249,8 @@ def _fill(model: MethodModel, method: str, g, platform, eps_max=None) -> None:
     model.asg, model.prec = gn._derived[key]
     model.gn, model.labeling, model.workloads = gn, lab, wl
     model.method, model.platform = method, platform
-    if eps_max is None:
-        model.contract = WorkloadContract.precise_initial(gn)
-        model.fixed_opt = {u: float(gn.task(u).optional) for u in gn.tasks}
-    else:
-        model.contract = WorkloadContract.from_labeling(gn, wl)
-        model.fixed_opt = wl.optional_fixed
-    exits = set(gn.exits())
-    opt = {
-        u: float(gn.task(u).optional) if u in exits else float(model.fixed_opt[u])
-        for u in gn.tasks
-    }
+    model.contract = WorkloadContract.from_labeling(gn, wl)
+    opt = {u: float(wl.full[u] - wl.mandatory_eff[u]) for u in gn.tasks}
     model.full = min_energy_schedule(
         gn, model.prec, full, opt, platform.power, platform.freqs, gn.deadline
     )
@@ -293,7 +290,9 @@ def epsilon_star(
             f"eps* by the LP ({sol.objective!r}) and in closed form "
             f"({model.full.energy!r}) disagree"
         )
-    sched = decode_schedule(gn, platform.power, platform.freqs, sol, fixed_opt=model.fixed_opt)
+    sched = decode_schedule(
+        gn, platform.power, platform.freqs, sol, fixed_opt=model.workloads.optional_fixed
+    )
     eps_max = sol.objective * (1 + 1e-9)
     _checked(gn, sched, asg, platform, eps_max, model.contract, "minimum-energy")
     return sol.objective, sched, asg
@@ -311,7 +310,7 @@ def _run(method: str, g, platform, eps_max, model: MethodModel | None) -> Method
     t0 = time.monotonic()
     model = MethodModel() if model is None else model
     if model.workloads is None:
-        _fill(model, method, g, platform, eps_max)
+        _fill(model, method, g, platform)
     if model.full is not None:
         decided_by = "closed-form"
         chosen = knapsack_loads(model.gn, model.workloads, platform.power, platform.freqs, eps_max)
@@ -356,7 +355,7 @@ def _solve_row(model: MethodModel, method: str, platform, eps_max):
         return None
     if not sol.optimal:
         raise PipelineError(f"{method} LP ended {sol.status}: {sol.message}")
-    return chosen_loads(gn, model.lp, sol, model.fixed_opt)
+    return chosen_loads(gn, model.lp, sol, model.workloads.optional_fixed)
 
 
 def _min_energy(gn, asg, loads, opt, platform, method, prec) -> Schedule:

@@ -81,29 +81,11 @@ class WorkloadContract:
 
     @classmethod
     def from_labeling(cls, g: TaskGraph, wl: EffectiveWorkloads) -> "WorkloadContract":
-        exits = set(g.exits())
-        bounds = {}
-        mandatory = {}
-        for u in g.tasks:
-            m_eff = float(wl.mandatory_eff[u])
-            mandatory[u] = m_eff
-            if u in exits:
-                bounds[u] = (m_eff, m_eff + g.task(u).optional)
-            else:
-                w = float(wl.total[u])
-                bounds[u] = (w, w)
-        return cls(bounds, mandatory)
-
-    @classmethod
-    def precise_initial(cls, g: TaskGraph) -> "WorkloadContract":
-        bounds = {}
-        mandatory = {}
-        for u in g.tasks:
-            t = g.task(u)
-            w = float(t.initial_workload)
-            bounds[u] = (w, w)
-            mandatory[u] = float(t.mandatory)
-        return cls(bounds, mandatory)
+        """Each task's load window [wl.fixed, wl.full] on its wl.mandatory_eff."""
+        return cls(
+            {u: (float(wl.fixed[u]), float(wl.full[u])) for u in g.tasks},
+            {u: float(wl.mandatory_eff[u]) for u in g.tasks},
+        )
 
     @classmethod
     def from_milp_schedule(cls, g: TaskGraph, sched: Schedule) -> "WorkloadContract":

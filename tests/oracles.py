@@ -105,7 +105,7 @@ def qos_lp_reference(g, wl, asg, pm, fs, eps_max, T_d) -> LinearProgram:
             total[f"o[{u}]"] = -1.0
             lp.add_row(f"load[{u}]", total, EQ, float(wl.mandatory_eff[u]))
         else:
-            lp.add_row(f"load[{u}]", total, EQ, float(wl.total[u]))
+            lp.add_row(f"load[{u}]", total, EQ, float(wl.mandatory_eff[u] + wl.optional_fixed[u]))
     lp.add_row("energy", _energy_coeffs(g, pm, fs), LE, eps_max)
     _qos_objective(lp, g)
     return lp
@@ -156,6 +156,17 @@ def baseline_contract_reference(g: TaskGraph) -> WorkloadContract:
         else:
             w = float(t.initial_workload)
             bounds[u] = (w, w)
+    return WorkloadContract(bounds, mandatory)
+
+
+def min_energy_contract_reference(g: TaskGraph) -> WorkloadContract:
+    """eps* windows: every task pinned to its initial workload."""
+    bounds = {}
+    mandatory = {}
+    for u in g.tasks:
+        t = g.task(u)
+        bounds[u] = (float(t.initial_workload), float(t.initial_workload))
+        mandatory[u] = float(t.mandatory)
     return WorkloadContract(bounds, mandatory)
 
 

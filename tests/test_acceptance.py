@@ -399,8 +399,7 @@ def test_criterion_8_deep_budget_feasible(suite20):
             continue
         gn = normalize_source(item["graph"])
         _, wl = imp_label(gn)
-        exits = set(gn.exits())
-        fixed = sum(wl.mandatory_eff[u] if u in exits else wl.total[u] for u in gn.tasks)
+        fixed = sum(wl.fixed.values())
         exact = c_star * fixed / item["star"]
         cliff = exact if cliff is None else min(cliff, exact)
         feas = [

@@ -166,6 +166,19 @@ class TestScheduleVerify:
         err = capsys.readouterr().err
         assert err == f"error: line {i + 1}: task {toks[1]} is assigned to processor {proc} of 4\n"
 
+    @pytest.mark.parametrize("cmd", ["schedule {graph} --eps-ratio 0.9", "epsilon-star {graph}"])
+    def test_missing_exit_opt_line(self, cmd, graph_file, tmp_path, capsys):
+        sched_file = tmp_path / "sched.txt"
+        assert run(cmd.format(graph=graph_file) + f" --out {sched_file}") == 0
+        task = parse_task_graph(graph_file.read_text()).exits()[0]
+        lines = sched_file.read_text().splitlines()
+        lines.remove(next(line for line in lines if line.startswith(f"opt {task} ")))
+        sched_file.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(f"verify {graph_file} {sched_file}") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: schedule file has no 'opt' line for exit task {task}\n"
+
     def test_schedule_for_more_processors_than_platform(self, graph_file, tmp_path, capsys):
         sched_file = tmp_path / "sched.txt"
         assert run(f"schedule {graph_file} --eps-ratio 0.9 --out {sched_file}") == 0
@@ -417,6 +430,47 @@ class TestConfig:
 
     def test_missing_config_is_usage_error(self, graph_file):
         assert run(f"label {graph_file} --config /nonexistent.ini") == 1
+
+
+class TestUnschedulableGraph:
+    """A graph file no command can schedule ends in one error line that
+    names the file."""
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (
+                "task a M=10 O=5 m=1 PT=0.5\ntask b M=10 O=5 m=1 PT=0.5\n"
+                "task c M=10 O=5 m=1 PT=0.5\n"
+                "edge a b comm=0\nedge b c comm=0\nedge c b comm=0\n",
+                ": cycle detected among tasks: b, c",
+            ),
+            ("", " has no task"),
+        ],
+        ids=["cycle", "no-task"],
+    )
+    @pytest.mark.parametrize(
+        "cmd",
+        [
+            "label {bad}",
+            "schedule {bad}",
+            "baseline {bad}",
+            "milp {bad}",
+            "epsilon-star {bad}",
+            "sweep {bad}",
+            "verify {bad} {sched}",
+        ],
+    )
+    def test_is_one_line_error_naming_the_file(
+        self, cmd, body, message, graph_file, tmp_path, capsys
+    ):
+        sched_file = tmp_path / "sched.txt"
+        assert run(f"schedule {graph_file} --eps-ratio 0.9 --out {sched_file}") == 0
+        bad = tmp_path / "bad.tg"
+        bad.write_text("taskgraph v1\ndeadline 1.0\n" + body)
+        capsys.readouterr()
+        assert run(cmd.format(bad=bad, sched=sched_file)) == 1
+        assert capsys.readouterr().err == f"error: graph {str(bad)!r}{message}\n"
 
 
 class TestUsage:

@@ -13,6 +13,7 @@ from impsched.imprecision import (
     format_labeling,
     forward_pass,
     imp_label,
+    initial_workloads,
     input_error,
     mandatory_extension,
     output_error,
@@ -20,7 +21,6 @@ from impsched.imprecision import (
     precision,
     qos,
     reduction_objective,
-    scheduling_workloads,
 )
 from impsched.taskgraph import (
     MANDATORY_REGIMES,
@@ -251,7 +251,7 @@ class TestImpLabel:
         lab, wl = imp_label(g)
         assert lab.precise["a"] is False
         assert wl.mandatory_eff["b"] == 130
-        assert wl.total["a"] == 100
+        assert wl.fixed["a"] == 100
 
     def test_chain_keep(self):
         g = make_graph(
@@ -261,7 +261,7 @@ class TestImpLabel:
         lab, wl = imp_label(g)
         assert lab.precise["a"] is True
         assert wl.mandatory_eff["b"] == 100
-        assert wl.total["a"] == 150
+        assert wl.fixed["a"] == 150
 
     def test_extended_iff_parent_imprecise(self):
         rng = random.Random(11)
@@ -279,10 +279,8 @@ class TestImpLabel:
     def test_workload_consistency(self):
         g = normalize_source(generate_random_graph(GeneratorParams(n_tasks=15, seed=2)))
         lab, wl = imp_label(g)
-        exits = set(g.exits())
         for u in g.tasks:
-            if u not in exits:
-                assert wl.total[u] == wl.mandatory_eff[u] + wl.optional_fixed[u]
+            assert wl.fixed[u] == wl.mandatory_eff[u] + wl.optional_fixed.get(u, 0)
             t = g.task(u)
             assert wl.mandatory_eff[u] in (t.mandatory, t.mandatory + t.extension)
 
@@ -365,21 +363,29 @@ class TestBruteForceComparison:
 
 
 class TestHelpers:
-    def test_scheduling_workloads(self):
+    def test_full_workloads(self):
         g = make_graph(
             [("a", 100, 50, 0, 0.5), ("b", 100, 40, 30, 0.5)],
             [("a", "b", 0.0)],
         )
         lab, wl = imp_label(g)  # a discards, b extended
-        got = scheduling_workloads(g, wl)
-        assert got == {"a": 100, "b": 130 + 40}
+        assert wl.fixed == {"a": 100, "b": 130}
+        assert wl.full == {"a": 100, "b": 130 + 40}
 
     def test_precise_workloads(self, chain3):
         wl = precise_workloads(chain3)
         # nothing extended; every non-exit task runs its optional part in full
         assert wl.mandatory_eff == {"a": 100, "b": 200, "c": 150}
         assert wl.optional_fixed == {"a": 50, "b": 80}
-        assert wl.total == {"a": 150, "b": 280}
+        assert wl.fixed == {"a": 150, "b": 280, "c": 150}
+        assert wl.full == {"a": 150, "b": 280, "c": 210}
+
+    def test_initial_workloads(self, chain3):
+        wl = initial_workloads(chain3)
+        # nothing extended and nothing left free, the exit's optional part too
+        assert wl.mandatory_eff == {"a": 100, "b": 200, "c": 150}
+        assert wl.optional_fixed == {"a": 50, "b": 80, "c": 60}
+        assert wl.fixed == wl.full == {"a": 150, "b": 280, "c": 210}
 
     @pytest.mark.parametrize("regime", sorted(MANDATORY_REGIMES))
     def test_precise_workloads_are_the_initial_ones(self, regime):
@@ -393,7 +399,22 @@ class TestHelpers:
         assert wl == effective_workloads(g, all_precise)
         assert wl.mandatory_eff == {u: t.mandatory for u, t in g.tasks.items()}
         initial = {u: t.initial_workload for u, t in g.tasks.items()}
-        assert scheduling_workloads(g, wl) == initial
+        assert wl.full == initial_workloads(g).full == initial
+
+    @pytest.mark.parametrize("regime", sorted(MANDATORY_REGIMES))
+    def test_windows_leave_only_the_free_exits_optional_part_open(self, regime):
+        for seed in (6, 7):
+            params = GeneratorParams(n_tasks=20, mandatory_regime=regime, seed=seed)
+            g = normalize_source(generate_random_graph(params))
+            exits = set(g.exits())
+            for name, wl, free in (
+                ("proposed", imp_label(g)[1], exits),
+                ("baseline", precise_workloads(g), exits),
+                ("initial", initial_workloads(g), set()),
+            ):
+                for u, t in g.tasks.items():
+                    assert wl.full[u] - wl.fixed[u] == (t.optional if u in free else 0), name
+                    assert (u in wl.optional_fixed) == (wl.full[u] == wl.fixed[u]), name
 
     def test_format_labeling(self):
         g = make_graph(

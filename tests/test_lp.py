@@ -604,7 +604,7 @@ class TestWarmStart:
         platform = sweep.default_platform(3)
         star, _, _ = sweep.epsilon_star(g, platform)
         model = sweep.MethodModel()
-        sweep._fill(model, "baseline", g, platform, star)
+        sweep._fill(model, "baseline", g, platform)
         basis = asap_basis(model.lp, model.gn, model.prec, platform.power, platform.freqs)
         statuses = []
         for ratio in sweep.sweep_ratios(0.05):
@@ -728,9 +728,9 @@ class TestColdStart:
         # programs and the MILP, whose nodes only narrow its bounds
         g = generate_random_graph(GeneratorParams(n_tasks=n, mandatory_regime=regime, seed=n))
         platform = sweep.default_platform()
-        for method, eps in (("minimum-energy", None), ("proposed", 1.0), ("baseline", 1.0)):
+        for method in ("minimum-energy", "proposed", "baseline"):
             model = sweep.MethodModel()
-            sweep._fill(model, method, g, platform, eps)
+            sweep._fill(model, method, g, platform)
             assert unboxed_columns(model.lp) == [], method
         gn = normalize_source(g)
         milp = build_milp(gn, platform.procs, platform.freqs, platform.power, 1.0, gn.deadline)
@@ -881,9 +881,9 @@ class TestCompile:
         g = generate_random_graph(GeneratorParams(n_tasks=14, mandatory_regime=regime, seed=4))
         platform = sweep.default_platform()
         programs = []
-        for method, eps in (("minimum-energy", None), ("proposed", 0.02), ("baseline", 0.02)):
+        for method in ("minimum-energy", "proposed", "baseline"):
             model = sweep.MethodModel()
-            sweep._fill(model, method, g, platform, eps)
+            sweep._fill(model, method, g, platform)
             programs.append(model.lp)
         gn = normalize_source(g)
         programs.append(

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import make_graph
 from impsched.energy import FrequencySet, PowerModel, cheapest_frequency, energy_per_cycle
-from impsched.imprecision import imp_label, precise_workloads, scheduling_workloads
+from impsched.imprecision import imp_label, precise_workloads
 from impsched.listsched import heft_assign
 from impsched.lp import solve_lp
 from impsched import sweep
@@ -35,6 +35,7 @@ from oracles import (
     baseline_contract_reference,
     baseline_lp_reference,
     grid_min_energy_two_chain,
+    min_energy_contract_reference,
     min_energy_lp_reference,
     qos_lp_reference,
 )
@@ -183,11 +184,11 @@ class TestMinEnergySchedule:
             out = run_proposed(g, platform, 0.95 * star, model)
         assert out.feasible and len(solved) == 1
         gn, asg, T_d, sol = model.gn, model.asg, model.gn.deadline, solved[0]
-        loads, opt = chosen_loads(gn, model.lp, sol, model.fixed_opt)
+        loads, opt = chosen_loads(gn, model.lp, sol, model.workloads.optional_fixed)
         sched = min_energy_schedule(gn, model.prec, loads, opt, pm, fs, T_d)
         assert sched == out.schedule
         # the QoS is the first stage's, bit for bit
-        assert sched.qos == decode_schedule(gn, pm, fs, sol, model.fixed_opt).qos
+        assert sched.qos == decode_schedule(gn, pm, fs, sol, model.workloads.optional_fixed).qos
         status, ref = highs_objective(build_load_lp(gn, asg, loads, pm, fs, T_d).compile())
         assert status == "optimal" and sched.energy == pytest.approx(ref, rel=1e-9)
         # 10% less time than the as-soon-as-possible schedule takes
@@ -218,7 +219,7 @@ class TestMinEnergySchedule:
             out = run_proposed(tight, platform, eps, model)
         assert out.feasible and out.qos == 1.0
         gn, asg, T_d = model.gn, model.asg, model.gn.deadline
-        loads, opt = chosen_loads(gn, model.lp, solved[0][1], model.fixed_opt)
+        loads, opt = chosen_loads(gn, model.lp, solved[0][1], model.workloads.optional_fixed)
         assert min_energy_schedule(gn, model.prec, loads, opt, pm, fs, T_d) is None
         (_, _), (comp, sol) = solved
         assert not comp.maximize and sol.start == "warm"
@@ -318,7 +319,7 @@ class TestPipelineInvariants:
         lab, wl = imp_label(gn)
         asg = heft_assign(
             gn,
-            {u: float(w) for u, w in scheduling_workloads(gn, wl).items()},
+            {u: float(w) for u, w in wl.full.items()},
             platform4.procs,
             platform4.freqs.f_max,
         )
@@ -349,7 +350,7 @@ class TestPipelineInvariants:
                 hi = lo + gn.task(u).optional
                 assert lo - 1e-4 <= total <= hi + 1e-4
             else:
-                assert total == pytest.approx(wl.total[u], abs=max(1e-4, 1e-7 * wl.total[u]))
+                assert total == pytest.approx(wl.fixed[u], abs=max(1e-4, 1e-7 * wl.fixed[u]))
 
 
 # every regime, n from 10 to 44
@@ -362,8 +363,9 @@ ONE_BUILDER_GRAPHS = [
 
 class TestOneBuilder:
     """The baseline and eps* programs are the proposed one under the labeling
-    that keeps every task precise, equal bit for bit to the programs their
-    own builders wrote before the merge (oracles.py)."""
+    that keeps every task precise and under every task's initial workload,
+    equal bit for bit to the programs and contracts their own builders wrote
+    before the merge (oracles.py)."""
 
     @pytest.mark.parametrize("regime, n, seed", ONE_BUILDER_GRAPHS)
     def test_programs_and_contracts_equal_the_per_method_ones(self, regime, n, seed):
@@ -403,3 +405,4 @@ class TestOneBuilder:
         contract = baseline_contract_reference(gn)
         assert WorkloadContract.from_labeling(gn, precise_workloads(gn)) == contract
         assert baseline.contract == contract
+        assert star_model.contract == min_energy_contract_reference(gn)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from impsched import sweep
-from impsched.imprecision import imp_label, scheduling_workloads
+from impsched.imprecision import imp_label
 from impsched.listsched import heft_assign
 from impsched.lp import CompiledLP, LinearProgram, _scaling, solve_lp
 from impsched.schedlp import (
@@ -282,7 +282,7 @@ def fresh_program(method, g, platform, eps_max) -> CompiledLP:
     pm, fs = platform.power, platform.freqs
     if method == "proposed":
         _, wl = imp_label(gn)
-        workloads = {u: float(w) for u, w in scheduling_workloads(gn, wl).items()}
+        workloads = {u: float(w) for u, w in wl.full.items()}
     else:
         workloads = {u: float(t.initial_workload) for u, t in gn.tasks.items()}
     asg = heft_assign(
@@ -515,10 +515,7 @@ class TestClosedForm:
 
 def fixed_loads(model):
     """The loads a model's rows always run: exits without optional work."""
-    exits, wl = set(model.gn.exits()), model.workloads
-    return {
-        u: float(wl.mandatory_eff[u] if u in exits else wl.total[u]) for u in model.gn.tasks
-    }
+    return {u: float(w) for u, w in model.workloads.fixed.items()}
 
 
 class TestLpFallback:

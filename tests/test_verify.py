@@ -14,7 +14,7 @@ from impsched.sweep import (
 )
 from impsched.taskgraph import GeneratorParams, generate_random_graph, normalize_source
 from impsched.verify import WorkloadContract, verify_schedule
-from impsched.imprecision import imp_label
+from impsched.imprecision import imp_label, initial_workloads
 from oracles import baseline_contract_reference, verify_reference
 
 
@@ -210,6 +210,13 @@ class TestContracts:
         )
         assert report.ok, report.format()
 
+    def test_eps_star_contract_pins_every_task_to_its_initial_workload(self, chain3):
+        contract = WorkloadContract.from_labeling(chain3, initial_workloads(chain3))
+        assert contract == WorkloadContract(
+            {"a": (150.0, 150.0), "b": (280.0, 280.0), "c": (210.0, 210.0)},
+            {"a": 100.0, "b": 200.0, "c": 150.0},
+        )
+
     def test_milp_contract_recomputes_errors(self):
         # schedule with a discarded parent: the child window must shift up
         from conftest import make_graph
@@ -337,8 +344,10 @@ def test_margins_tool_flags_a_tolerance_without_headroom(monkeypatch, capsys):
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     assert tool.main(["--check"]) == 0
-    # correct schedules sit a few ulps below 0: a tolerance of 1e-15 keeps
-    # them passing, without the 10x headroom
+    # correct schedules sit a few ulps below 0, the LP-decided ones down to
+    # about -7e-14: a tolerance of 1e-15 leaves them no 10x headroom and fails
+    # some outright, which stops their sweeps
     monkeypatch.setattr(verify, "_TOL", 1e-15)
     assert tool.main(["--check"]) == 1
-    assert "within 10x of the tolerance" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "within 10x of the tolerance" in err and "sweeps stopped" in err
