@@ -373,12 +373,14 @@ def _platform_from(args) -> PlatformConfig:
 
 
 def _read_graph(path: str) -> TaskGraph:
-    """The graph in path; one no command can schedule (no task, or a cycle)
-    is a usage error naming the file."""
+    """The graph in path; one that does not parse, or that no command can
+    schedule (no task, or a cycle), is a usage error naming the file."""
     try:
         g = parse_task_graph(Path(path).read_text())
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read graph {path!r}: {exc}")
+    except GraphFormatError as exc:
+        raise UsageError(f"graph {path!r}: {exc}")
     if not g.tasks:
         raise UsageError(f"graph {path!r} has no task")
     try:
@@ -540,7 +542,10 @@ def cmd_verify(args) -> int:
         text = Path(args.schedule).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read schedule {args.schedule!r}: {exc}")
-    mode, eps_max, procs, labeling, asg, sched = parse_schedule(text)
+    try:
+        mode, eps_max, procs, labeling, asg, sched = parse_schedule(text)
+    except GraphFormatError as exc:
+        raise UsageError(f"schedule {args.schedule!r}: {exc}")
     if procs > platform.procs:
         raise UsageError(
             f"schedule uses {procs} processors, the platform has {platform.procs}"
@@ -704,7 +709,7 @@ def main(argv=None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_USAGE
-    except (UsageError, GraphFormatError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleError as exc:

@@ -11,16 +11,19 @@ The basis inverse is kept in product form: a dense inverse of the basis at
 the last refactorization times an eta file of rank-1 pivot updates, so a
 pivot costs O(m*k) for k updates instead of rewriting an m x m matrix. Slack
 columns are identity columns and are never built: pricing, column reads and
-row activities take them from their row, and a refactorization inverts only
-the structural kernel of the basis, the rows its slacks leave uncovered. A
-solve ends on the eta file as it stands unless it fails a residual check,
-and refactors only then. A CompiledLP keeps the last inverse computed for
-it, with its basis, and neither bounds nor right-hand sides enter an
-inverse: a warm solve that starts where an earlier solve of the same matrix
-factored (a sweep row from the crash an earlier row started from, a
-branch-and-bound child) adopts that inverse, so each basis is factored
-once. Solutions are re-checked against the original data before being
-reported; numerical trouble is surfaced as a status, never silently.
+row activities take them from their row. A basis is factored in two steps:
+its kernel factor inverts only the structural kernel of the basis, the rows
+its slacks leave uncovered, and the dense m x m inverse is assembled from
+that factor only once the dual simplex needs it. A solve ends on the eta
+file as it stands unless it fails a residual check, and refactors only then.
+A CompiledLP keeps the last kernel factor computed for it, with its basis
+and, once assembled, its dense inverse; neither bounds nor right-hand sides
+enter a factor: a warm solve that starts where an earlier solve of the same
+matrix factored (a sweep row from the crash an earlier row started from, a
+branch-and-bound child) adopts that factor, so each basis is factored once
+and LPSolution.refactors counts the kernel inversions a solve computed.
+Solutions are re-checked against the original data before being reported;
+numerical trouble is surfaced as a status, never silently.
 
 solve_lp requires every column to have a finite bound on the side its cost
 prefers (the upper bound when the cost, in min sense, is negative, else the
@@ -31,7 +34,11 @@ is bounded, and a solve starts from the first of these that fits
          of the same program after a change of the right-hand side or of
          variable bounds, or a crash basis built from the program's own
          rows and columns (schedlp.asap_basis); it fits when it is
-         nonsingular and dual feasible;
+         nonsingular and dual feasible. Its basics and duals are first
+         solved from the kernel factor alone; where they certify the basis
+         optimal (primal feasible, no reduced cost of the wrong sign, small
+         residuals), the solve ends there with 0 iterations and no dense
+         inverse is assembled;
   slack  every slack basic and every structural column on its preferred
          bound: with y = 0 the reduced costs are the costs, so this basis
          is always dual feasible.
@@ -181,7 +188,7 @@ class LinearProgram:
         c = np.zeros(nv)
         for v, a in self._obj.items():
             c[index[v]] = a
-        return CompiledLP(
+        comp = CompiledLP(
             var_names=tuple(self._var_names),
             var_index=dict(index),
             row_names=tuple(self._row_names),
@@ -194,6 +201,9 @@ class LinearProgram:
             maximize=self.maximize,
             constant=self.objective_constant,
         )
+        nz = vals != 0.0
+        comp._nonzeros = rows[nz], cols[nz], vals[nz]
+        return comp
 
 
 @dataclass
@@ -209,15 +219,19 @@ class CompiledLP:
     hi: np.ndarray
     maximize: bool
     constant: float
-    # what solve_lp derives from A alone, the last basis inverse included
+    # what solve_lp derives from A alone, the last basis factor included
     # (see _scaling); dataclasses.replace starts a new program with an empty
     # cache
     _scaled: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the nonzeros of A as (rows, cols, vals), kept by LinearProgram.compile
+    # for _scaling; a program made another way has none, and _scaling finds
+    # them in A
+    _nonzeros: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def copy_with_rhs(self, row: str, rhs: float) -> "CompiledLP":
         """A copy with the right-hand side of one row replaced. It shares A
         and every other array but b, and the cache of _scaling, whose last
-        basis inverse serves both: no right-hand side enters an inverse."""
+        basis factor serves both: no right-hand side enters a factor."""
         if not math.isfinite(rhs):
             raise ValueError(f"row {row!r}: non-finite right-hand side")
         b = self.b.copy()
@@ -235,7 +249,9 @@ class LPSolution:
     duals: dict[str, float]
     iterations: int
     message: str = ""
-    # basis inverses computed; one adopted from the program's cache is not counted
+    # basis kernels inverted (kernel factors computed); one adopted from the
+    # program's cache is not counted, and neither is assembling a dense
+    # inverse from a factor
     refactors: int = 0
     # largest violation of the original rows and bounds (max_violation);
     # None when the solution was not re-checked
@@ -315,15 +331,18 @@ def _equilibrate(shape, rows, cols, M) -> tuple[np.ndarray, np.ndarray]:
 
 def _scaling(comp: CompiledLP):
     """(R, C, the scaled A, the row scales of max_violation, the last basis
-    inverse, the masks of the '<=' and '>=' rows): everything the solver
+    factor, the masks of the '<=' and '>=' rows): everything the solver
     derives from A and the senses alone, computed once per CompiledLP, so
     that the nodes of a branch-and-bound share it. The first four come from
-    the nonzeros; the fifth is a one-slot list that _Simplex._refactor fills
-    with (basis, B0^-1)."""
+    the nonzeros; the fifth is a one-slot list that _Simplex._factor fills
+    with (basis, _Kernel)."""
     if comp._scaled is None:
         A = comp.A
-        rows, cols = np.nonzero(A)
-        vals = A[rows, cols]
+        if comp._nonzeros is None:
+            rows, cols = np.nonzero(A)
+            vals = A[rows, cols]
+        else:
+            rows, cols, vals = comp._nonzeros
         M = np.abs(vals)
         R, C = _equilibrate(A.shape, rows, cols, M)
         As = np.zeros(A.shape)
@@ -341,6 +360,45 @@ def _dual_tol(c: np.ndarray) -> float:
     return 1e-9 * (float(np.abs(c).max(initial=0.0)) or 1.0)
 
 
+class _Kernel:
+    """One basis factored through its structural kernel.
+
+    Each basic slack covers its own row. With those rows and positions moved
+    last, B = [[B_kk, 0], [B_sk, I]], so B^-1 = [[K, 0], [-B_sk K, I]] for
+    K = B_kk^-1: pos_s and pos_u are the positions of the structural and
+    slack basics, rows_k the rows no slack covers and rows_u the slacks'
+    rows. solve() applies B^-1 in that block form; the dense B0^-1 is
+    assembled from K only when inverse() is first called.
+    """
+
+    def __init__(self, pos_s, pos_u, rows_k, rows_u, K, B_sk):
+        self.pos_s, self.pos_u = pos_s, pos_u
+        self.rows_k, self.rows_u = rows_k, rows_u
+        self.K, self.B_sk = K, B_sk
+        self._inv = None
+
+    def solve(self, v):
+        """B^-1 v, by basis position: K v_k on the structural positions,
+        v_u - B_sk (K v_k) on the slacks'."""
+        out = np.empty(len(v))
+        xs = out[self.pos_s] = self.K @ v[self.rows_k]
+        out[self.pos_u] = v[self.rows_u] - self.B_sk @ xs
+        return out
+
+    def inverse(self):
+        """B0^-1, dense and read-only (shared with later solves of this
+        matrix); assembled on the first call."""
+        if self._inv is None:
+            nr = len(self.pos_s) + len(self.pos_u)
+            inv = np.zeros((nr, nr))
+            inv[np.ix_(self.pos_s, self.rows_k)] = self.K
+            inv[np.ix_(self.pos_u, self.rows_k)] = -(self.B_sk @ self.K)
+            inv[self.pos_u, self.rows_u] = 1.0
+            inv.flags.writeable = False
+            self._inv = inv
+        return self._inv
+
+
 class _Simplex:
     """Bounded-variable simplex on pre-scaled dense data (nr >= 1).
 
@@ -351,15 +409,21 @@ class _Simplex:
     last refactorization and the k columns of P and Q (stored as the first k
     rows of eta_p and eta_q) hold one rank-1 update per pivot since then.
     The file holds REFACTOR_EVERY updates; filling it forces a refactor.
-    A refactorization inverts only the basis's structural kernel (_invert);
-    the end of a solve refactors only when the basis fails _residuals_ok.
-    factor, a one-slot list shared by the solves of one scaled A, holds the
-    last inverse computed and its basis, in position order; a refactor at
-    that basis adopts it (_refactor).
+    A basis is factored in two steps: _invert inverts only its structural
+    kernel (a _Kernel), and B0^-1 is assembled from that kernel
+    (_Kernel.inverse) only where the dual simplex needs FTRAN or BTRAN: a
+    loaded basis that is not certified optimal (_load_basis), and every
+    refactor (_refactor). The end of a solve refactors only when the basis
+    fails _residuals_ok. factor, a one-slot list shared by the solves of one
+    scaled A, holds the last kernel factor computed and its basis, in
+    position order; a basis loaded or refactored at that basis adopts it
+    (_factor), its assembled inverse included.
 
     solve() loads a caller's basis through _load_basis where it fits, else
     adopts the slack basis (_adopt), runs the dual simplex (_dual) from it
-    and checks the signs of the final reduced costs (_dual_infeasible).
+    and checks the signs of the final reduced costs (_dual_infeasible). A
+    caller's basis that the kernel factor alone certifies optimal ends the
+    solve at the load, with no dense inverse built.
     """
 
     PIV_TOL = 1e-9
@@ -373,20 +437,23 @@ class _Simplex:
     # solutions agree with HiGHS and the recorded objectives.
     RESID_TOL = 1e-10
 
-    def __init__(self, A, b, senses, c_min, lo, hi, factor=None):
+    def __init__(self, A, b, sense_masks, c_min, lo, hi, factor=None):
+        """sense_masks is (le, ge), the masks of the '<=' and '>=' rows, as
+        _scaling holds them; every other row is '=='."""
         nr, nv = A.shape
         self.nr, self.nv = nr, nv
-        slack_lo = np.array([0.0 if s == LE else (-INF if s == GE else 0.0) for s in senses])
-        slack_hi = np.array([INF if s == LE else (0.0 if s == GE else 0.0) for s in senses])
+        le, ge = sense_masks
         self.ncols = nv + nr
         self.A = A
         self.b = b.astype(float)
-        self.lo = np.concatenate([lo, slack_lo])
-        self.hi = np.concatenate([hi, slack_hi])
+        self.lo = np.concatenate([lo, np.where(ge, -INF, 0.0)])
+        self.hi = np.concatenate([hi, np.where(le, INF, 0.0)])
         self.c_min = c_min
         self.iterations = 0
         self.refactors = 0
         self.factor = [None] if factor is None else factor
+        self.B0_inv = None
+        self.n_eta = 0
         self.eta_p = np.empty((self.REFACTOR_EVERY, nr))
         self.eta_q = np.empty((self.REFACTOR_EVERY, nr))
 
@@ -406,18 +473,21 @@ class _Simplex:
         a[j - self.nv] = 1.0
         return a
 
-    def _refactor(self):
-        """Make B0^-1 the inverse of the basis and empty the eta file.
-
-        The inverse of the basis in self.factor is adopted from there, the
-        same array _invert would compute again; any other is computed and
-        takes its place. Either way self.d goes stale.
-        """
+    def _factor(self):
+        """The kernel factor of the basis. The one in self.factor is adopted
+        where it holds this basis, the same factor _invert would compute
+        again; any other is computed, counted in self.refactors, and takes
+        its place."""
         key = self.basis.tobytes()
         if self.factor[0] is None or self.factor[0][0] != key:
             self.factor[0] = key, self._invert()
             self.refactors += 1
-        inv = self.B0_inv = self.factor[0][1]
+        return self.factor[0][1]
+
+    def _refactor(self):
+        """Make B0^-1 the inverse of the basis, assembled from its kernel
+        factor (_factor), and empty the eta file; self.d goes stale."""
+        inv = self.B0_inv = self._factor().inverse()
         self.n_eta = 0
         self.d = None
         xn = self.x.copy()
@@ -425,12 +495,9 @@ class _Simplex:
         self.x[self.basis] = inv @ (self.b - self._times(xn))
 
     def _invert(self):
-        """The inverse of the basis, from its structural kernel (read-only).
-
-        Each basic slack covers its own row. With those rows and positions
-        moved last, B = [[B_kk, 0], [B_sk, I]], so B^-1 = [[K, 0], [-B_sk K, I]]
-        for K = B_kk^-1.
-        """
+        """The basis's _Kernel: its index sets, K, the inverse of its
+        structural kernel B_kk, and B_sk; no dense inverse of the basis.
+        Raises _NumericalTrouble where LAPACK finds B_kk singular."""
         nv = self.nv
         slack = self.basis >= nv
         pos_s, pos_u = np.nonzero(~slack)[0], np.nonzero(slack)[0]
@@ -439,16 +506,12 @@ class _Simplex:
         covered = np.zeros(self.nr, dtype=bool)
         covered[rows_u] = True
         rows_k = np.nonzero(~covered)[0]
+        # rows, then columns: a faster gather than np.ix_, giving the same array
         try:
-            K = np.linalg.inv(self.A[np.ix_(rows_k, cols)])
+            K = np.linalg.inv(self.A[rows_k].take(cols, axis=1))
         except np.linalg.LinAlgError:
             raise _NumericalTrouble("singular basis during refactorization")
-        inv = np.zeros((self.nr, self.nr))
-        inv[np.ix_(pos_s, rows_k)] = K
-        inv[np.ix_(pos_u, rows_k)] = -(self.A[np.ix_(rows_u, cols)] @ K)
-        inv[pos_u, rows_u] = 1.0
-        inv.flags.writeable = False  # shared with later solves of this matrix
-        return inv
+        return _Kernel(pos_s, pos_u, rows_k, rows_u, K, self.A[rows_u].take(cols, axis=1))
 
     def _ftran(self, a):
         """B^-1 a."""
@@ -487,13 +550,14 @@ class _Simplex:
         if self.n_eta == self.REFACTOR_EVERY:
             self._refactor()
 
-    def _residuals_ok(self, c, y):
+    def _residuals_ok(self, c):
         """Whether the eta-updated basis still solves its own equations: the
         primal residual of B x_B = b - N x_N and the dual residual of
-        y B = c_B, for y = c_B B^-1 from BTRAN, each small against its data."""
+        y B = c_B, each small against its data. For y = c_B B^-1 as
+        _dual_infeasible last priced it, the dual residual is |d_B|."""
         x_scale = 1.0 + float(np.abs(self.b).max()) + float(np.abs(self.x).max())
         primal = np.abs(self.b - self._times(self.x)).max()
-        dual = np.abs(self._prices(y)[self.basis] - c[self.basis]).max(initial=0.0)
+        dual = np.abs(self.d[self.basis]).max(initial=0.0)
         c_scale = float(np.abs(c).max(initial=0.0)) or 1.0
         return primal <= self.RESID_TOL * x_scale and dual <= self.RESID_TOL * c_scale
 
@@ -507,24 +571,32 @@ class _Simplex:
         wrong = np.where(self.vstat == 0, d < -tol_d, d > tol_d)
         return bool(np.any(wrong & ~self.in_basis & ~fixed))
 
-    def _adopt(self, vstat):
+    def _place(self, vstat):
         """Make vstat (of the structural and slack columns, 2 for basic) the
-        basis, every nonbasic at the bound it names, and refactor."""
+        basis, every nonbasic at the bound it names and every basic at 0."""
         self.vstat = vstat.astype(np.int8)
         basic = vstat == 2
         self.basis = np.nonzero(basic)[0]
         self.in_basis = basic.copy()
         self.x = np.where(vstat == 1, self.hi, np.where(vstat == 0, self.lo, 0.0))
+
+    def _adopt(self, vstat):
+        """_place vstat and refactor."""
+        self._place(vstat)
         self._refactor()
 
     def _load_basis(self, vstat, c, fixed) -> bool:
         """Adopt a caller's basis: the vstat of the structural and slack columns.
 
         It fits when it has the right length and exactly nr basics, puts every
-        nonbasic on a finite bound, refactors to a nonsingular inverse, and is
-        dual feasible for c. A basis that does not fit leaves nothing behind
-        that the next start does not overwrite but the cached inverse of
-        that basis, which stays exact.
+        nonbasic on a finite bound, has a nonsingular kernel factor, and is
+        dual feasible for c. A basis that _certify finds optimal from its
+        kernel factor alone leaves B0_inv None, and the solve ends with it.
+        Any other gets B0^-1 assembled from the same factor, and its basics
+        and duals solved again from that, as the dual simplex goes on from
+        them. A basis that does not fit leaves nothing behind that the next
+        start does not overwrite but the cached factor of that basis, which
+        stays exact.
         """
         vstat = np.asarray(vstat)
         if vstat.shape != (self.ncols,):
@@ -538,15 +610,40 @@ class _Simplex:
             or np.any(at_hi & ~np.isfinite(self.hi))
         ):
             return False
+        self._place(vstat)
         try:
-            self._adopt(vstat)
+            kernel = self._factor()
         except _NumericalTrouble:
             return False
-        # inv() accepts a numerically singular basis; B0^-1 (B 1) must give 1 back
-        ones = self.B0_inv @ self._times(basic.astype(float))
+        # inv() accepts a numerically singular kernel; B^-1 (B 1) must give 1 back
+        ones = kernel.solve(self._times(basic.astype(float)))
         if not np.all(np.abs(ones - 1.0) <= 1e-6):
             return False
+        r = self.b - self._times(self.x)  # the basics are still at 0
+        if self._certify(kernel, r, c, fixed):
+            return True
+        inv = self.B0_inv = kernel.inverse()
+        self.x[self.basis] = inv @ r
         return not self._dual_infeasible(self._btran(c[self.basis]), c, fixed)
+
+    def _certify(self, kernel, r, c, fixed) -> bool:
+        """Whether the basis just placed is optimal, judged from its kernel
+        factor alone. The basics solve B x_B = r in block form
+        (_Kernel.solve), and the duals y = c_B B^-1 are y_k = c_s K, y_u = 0,
+        since slacks cost nothing. The basis is optimal when every basic is
+        within PRIMAL_TOL of its bounds, no reduced cost has the wrong sign
+        (_dual_infeasible) and _residuals_ok holds; self.y then holds the
+        duals. Either way the basics are left at x_B."""
+        xB = self.x[self.basis] = kernel.solve(r)
+        lo, hi = self.lo[self.basis], self.hi[self.basis]
+        if not np.all((lo - xB <= self.PRIMAL_TOL) & (xB - hi <= self.PRIMAL_TOL)):
+            return False
+        y = np.zeros(self.nr)
+        y[kernel.rows_k] = c[self.basis[kernel.pos_s]] @ kernel.K
+        if self._dual_infeasible(y, c, fixed) or not self._residuals_ok(c):
+            return False
+        self.y = y
+        return True
 
     def _dual(self, c, fixed, maxiter):
         """Bounded dual simplex from a dual feasible basis.
@@ -637,12 +734,15 @@ class _Simplex:
         eta-updated inverse can carry the basis's condition number times its
         residual. An inverse with no eta updates is a fresh factorization;
         its residuals need no check, and a wrong sign there raises
-        _NumericalTrouble."""
+        _NumericalTrouble. A caller's basis that _load_basis certifies
+        optimal returns at once, with no iteration."""
         c = np.zeros(self.ncols)
         c[: self.nv] = self.c_min
         fixed = self.hi - self.lo <= 0.0
         if basis is not None and self._load_basis(basis, c, fixed):
             self.start = "warm"
+            if self.B0_inv is None:  # certified from the kernel factor
+                return "optimal", self.x[: self.nv].copy(), self.y, self.vstat.copy()
         else:
             self.start = "slack"
             self._adopt(self._slack_basis())
@@ -658,7 +758,7 @@ class _Simplex:
                 if wrong_sign:
                     raise _NumericalTrouble("a reduced cost of the final basis has the wrong sign")
                 break
-            if not wrong_sign and self._residuals_ok(c, y):
+            if not wrong_sign and self._residuals_ok(c):
                 break
             self._refactor()
         else:
@@ -707,7 +807,7 @@ def solve_lp(problem, lower=None, upper=None, basis=None) -> LPSolution:
         return LPSolution("optimal", obj, values, {}, 0)
 
     # power-of-two equilibration: exact to apply and to undo
-    R, C, As, _, factor, _ = _scaling(comp)
+    R, C, As, _, factor, masks = _scaling(comp)
     bs = comp.b * R
     cs = c_min * C
     with np.errstate(invalid="ignore"):
@@ -716,7 +816,7 @@ def solve_lp(problem, lower=None, upper=None, basis=None) -> LPSolution:
 
     maxiter = 20000 + 50 * (nr + nv)
     try:
-        core = _Simplex(As, bs, comp.senses, cs, los, his, factor)
+        core = _Simplex(As, bs, masks, cs, los, his, factor)
         status, xs, ys, vstat = core.solve(maxiter, basis)
     except _NumericalTrouble as exc:
         return LPSolution(

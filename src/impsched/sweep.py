@@ -15,7 +15,9 @@ over the exits' optional cycles and every row is decided in closed form
 (schedlp.knapsack_loads), with no LP built.
 eps* is still solved by its LP, once per graph: where the closed form holds,
 the two must agree, which checks on every graph the premise that the rows'
-closed form rests on. The normalized graph keeps its list schedules per
+closed form rests on. There the LP's crash basis is optimal, and solve_lp
+certifies it from the kernel factor of the basis, with no pivot and no dense
+inverse. The normalized graph keeps its list schedules per
 platform, of the labeled and of the initial full loads: the baseline (every
 non-exit task precise, imprecision.precise_workloads) and eps* (every task
 at its initial workload, imprecision.initial_workloads) share the latter.
@@ -24,7 +26,8 @@ Elsewhere a row falls back to the LP. The model compiles its QoS program
 and builds the crash schedlp.asap_basis once, on the first such row; each
 row then solves, from that crash, a copy of the compiled program with only
 the `energy` right-hand side replaced (CompiledLP.copy_with_rhs), which
-shares the compiled matrices, the scaling and the crash's cached inverse.
+shares the compiled matrices, the scaling and the crash's cached kernel
+factor, with the dense inverse assembled from it once a row pivots.
 So a row depends on its model and budget only, never on an earlier row's
 basis. The walk drops the compiled arrays when it ends, so nothing a row
 returns or was given holds a dense matrix afterwards. The QoS program has

@@ -3,7 +3,7 @@ import pytest
 from impsched import sweep
 from impsched.energy import DEFAULT_FREQUENCY_SET, DEFAULT_POWER_MODEL
 from impsched.sweep import PlatformConfig
-from impsched.taskgraph import Edge, Task, TaskGraph
+from impsched.taskgraph import Edge, GeneratorParams, Task, TaskGraph, generate_random_graph
 
 # collected by acceptance tests; printed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []
@@ -82,3 +82,20 @@ def chain3():
         [("a", "b", 0.001), ("b", "c", 0.002)],
         deadline=1.0,
     )
+
+
+def benchmark_graphs():
+    """The 24 graphs of the benchmark: the sweep workload's four (n 38-44,
+    one per regime) and the 20 of the acceptance suite (n 10-38)."""
+    graphs = [
+        generate_random_graph(GeneratorParams(n_tasks=n, mandatory_regime=regime, seed=s))
+        for regime, n, s in (
+            ("man_low", 38, 7), ("man_med", 40, 3), ("man_mixed", 42, 17), ("man_high", 44, 19)
+        )
+    ]
+    for ri, regime in enumerate(("man_low", "man_med", "man_high", "man_mixed")):
+        for si, n in enumerate((10, 14, 19, 27, 38)):
+            graphs.append(generate_random_graph(
+                GeneratorParams(n_tasks=n, mandatory_regime=regime, seed=100 + 10 * ri + si)
+            ))
+    return graphs

@@ -119,7 +119,10 @@ class TestScheduleVerify:
         capsys.readouterr()
         assert run(f"verify {graph_file} {sched_file}") == 1
         err = capsys.readouterr().err
-        assert err == f"error: line 1: schedule file has no {kind!r} line for task {task}\n"
+        assert err == (
+            f"error: schedule {str(sched_file)!r}: line 1: "
+            f"schedule file has no {kind!r} line for task {task}\n"
+        )
 
     @pytest.mark.parametrize(
         "old,new,message",
@@ -164,7 +167,10 @@ class TestScheduleVerify:
         capsys.readouterr()
         assert run(f"verify {graph_file} {sched_file}") == 1
         err = capsys.readouterr().err
-        assert err == f"error: line {i + 1}: task {toks[1]} is assigned to processor {proc} of 4\n"
+        assert err == (
+            f"error: schedule {str(sched_file)!r}: line {i + 1}: "
+            f"task {toks[1]} is assigned to processor {proc} of 4\n"
+        )
 
     @pytest.mark.parametrize("cmd", ["schedule {graph} --eps-ratio 0.9", "epsilon-star {graph}"])
     def test_missing_exit_opt_line(self, cmd, graph_file, tmp_path, capsys):
@@ -471,6 +477,38 @@ class TestUnschedulableGraph:
         capsys.readouterr()
         assert run(cmd.format(bad=bad, sched=sched_file)) == 1
         assert capsys.readouterr().err == f"error: graph {str(bad)!r}{message}\n"
+
+
+class TestMalformedFile:
+    """A file that does not parse ends in one error line that names it."""
+
+    def test_sweep_names_the_graph_that_does_not_parse(self, graph_file, tmp_path, capsys):
+        bad = tmp_path / "bad.tg"
+        lines = graph_file.read_text().splitlines()
+        assert lines[2].startswith("task ") and " O=" in lines[2]
+        lines[2] = lines[2].split(" O=")[0] + " O=x m=1 PT=0.5"
+        bad.write_text("\n".join(lines) + "\n")
+        csv = tmp_path / "sweep.csv"
+        capsys.readouterr()
+        assert run(f"sweep {graph_file} {bad} --methods proposed --out {csv}") == 1
+        assert capsys.readouterr().err == (
+            f"error: graph {str(bad)!r}: line 3: O must be an integer cycle count\n"
+        )
+        assert not csv.exists()
+
+    def test_verify_names_the_file_given_in_the_wrong_place(self, graph_file, tmp_path, capsys):
+        sched_file = tmp_path / "sched.txt"
+        assert run(f"schedule {graph_file} --eps-ratio 0.9 --out {sched_file}") == 0
+        capsys.readouterr()
+        assert run(f"verify {sched_file} {graph_file}") == 1
+        assert capsys.readouterr().err == (
+            f"error: graph {str(sched_file)!r}: line 1: expected header 'taskgraph v1'\n"
+        )
+        assert run(f"verify {graph_file} {graph_file}") == 1
+        assert capsys.readouterr().err == (
+            f"error: schedule {str(graph_file)!r}: line 1: "
+            "bad schedule line: unknown directive 'taskgraph'\n"
+        )
 
 
 class TestUsage:

@@ -17,6 +17,7 @@ from impsched.lp import (
     LE,
     CompiledLP,
     LinearProgram,
+    _Kernel,
     _scaling,
     _NumericalTrouble,
     _Simplex,
@@ -31,6 +32,7 @@ from impsched.taskgraph import (
     generate_random_graph,
     normalize_source,
 )
+from conftest import benchmark_graphs
 from oracles import dual_certificate_ok, scaling_dense
 
 
@@ -376,7 +378,7 @@ class TestEtaFile:
 
         monkeypatch.setattr(_Simplex, "_pivot", counting)
         A, b, c, lo, hi = equilibrated(comp)
-        core = _Simplex(A, b, comp.senses, c, lo, hi)
+        core = _Simplex(A, b, _scaling(comp)[5], c, lo, hi)
         # stop mid-run: the iteration limit leaves the core as it stood
         core.solve(maxiter=_Simplex.REFACTOR_EVERY + 60)
         assert len(pivots) > _Simplex.REFACTOR_EVERY
@@ -411,10 +413,19 @@ class TestSolutionCounters:
 
 def highs_objective(comp):
     """(status, objective) of HiGHS on the equilibrated program."""
+    res = highs_result(comp)
+    if res.status == 2:
+        return "infeasible", None
+    assert res.status == 0, res.message
+    return "optimal", (-res.fun if comp.maximize else res.fun) + comp.constant
+
+
+def highs_result(comp):
+    """HiGHS's result on the equilibrated program, in min sense."""
     A, b, c, lo, hi = equilibrated(comp)
     senses = np.array(comp.senses)
     le, ge, eq = senses == LE, senses == GE, senses == EQ
-    res = linprog(
+    return linprog(
         c,
         A_ub=np.vstack([A[le], -A[ge]]),
         b_ub=np.concatenate([b[le], -b[ge]]),
@@ -424,10 +435,6 @@ def highs_objective(comp):
         method="highs",
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
-    if res.status == 2:
-        return "infeasible", None
-    assert res.status == 0, res.message
-    return "optimal", (-res.fun if comp.maximize else res.fun) + comp.constant
 
 
 class TestSchedulingLPsAgainstHighs:
@@ -632,7 +639,10 @@ def kernel_core():
         ]
     )
     b = np.array([5.0, -1.0, 3.0, -2.0])
-    core = _Simplex(A, b, (LE, GE, LE, EQ), np.ones(5), np.zeros(5), np.full(5, 10.0))
+    senses = np.array([LE, GE, LE, EQ])
+    core = _Simplex(
+        A, b, (senses == LE, senses == GE), np.ones(5), np.zeros(5), np.full(5, 10.0)
+    )
     cost = np.concatenate([core.c_min, np.zeros(4)])
     assert core._load_basis(core._slack_basis(), cost, core.hi - core.lo <= 0.0)
     return core
@@ -676,7 +686,7 @@ class TestKernelRefactor:
     def test_numerically_singular_kernel_is_rejected(self):
         comp = near_singular_lp(slack_row=True)
         A, b, c, lo, hi = equilibrated(comp)
-        core = _Simplex(A, b, comp.senses, c, lo, hi)
+        core = _Simplex(A, b, _scaling(comp)[5], c, lo, hi)
         vstat = np.array([2, 2, 2, 0, 0, 0, 2])
         cost = np.concatenate([c, np.zeros(len(b))])
         fixed = core.hi - core.lo <= 0.0
@@ -754,7 +764,7 @@ class TestColdStart:
     def test_in_place_reduced_costs_match_recomputed(self):
         for comp in scheduling_lps(38):
             A, b, c, lo, hi = equilibrated(comp)
-            core = _Simplex(A, b, comp.senses, c, lo, hi)
+            core = _Simplex(A, b, _scaling(comp)[5], c, lo, hi)
             cost = np.concatenate([c, np.zeros(len(b))])
             fixed = core.hi - core.lo <= 0.0
             assert core._load_basis(core._slack_basis(), cost, fixed)
@@ -999,13 +1009,13 @@ class TestFactorCache:
         vstat = solve_lp(comp).basis
         A, b, c, lo, hi = equilibrated(comp)
         factor = [None]
-        core = _Simplex(A, b, comp.senses, c, lo, hi, factor)
+        core = _Simplex(A, b, _scaling(comp)[5], c, lo, hi, factor)
         core._adopt(vstat)
-        assert core.refactors == 1 and factor[0][1] is core.B0_inv
+        assert core.refactors == 1 and factor[0][1].inverse() is core.B0_inv
         assert np.count_nonzero(core.basis < core.nv) > 1
         core.basis = core.basis[::-1].copy()
         core._refactor()
-        assert core.refactors == 2 and factor[0][1] is core.B0_inv
+        assert core.refactors == 2 and factor[0][1].inverse() is core.B0_inv
         assert_inverse_matches(core)
         # that order once more adopts the inverse just computed
         core._refactor()
@@ -1045,6 +1055,209 @@ class TestFactorCache:
         assert (cached.nodes, cached.lp_iterations) == (empty.nodes, empty.lp_iterations)
         assert repr(cached.objective) == repr(empty.objective)
         assert len(computed) == len(every) and sum(computed) < sum(every)
+
+
+def no_certify(mp):
+    """Through mp, turn the certification off: every basis _load_basis
+    accepts gets B0^-1 assembled at once, as the dual simplex goes on."""
+    mp.setattr(_Simplex, "_certify", lambda self, *args: False)
+
+
+def eps_star_solve(g, platform, mp):
+    """(program, basis, solution) of the LP sweep.epsilon_star solves,
+    captured through mp."""
+    solved = []
+
+    def capture(problem, **kwargs):
+        solved.append((problem, kwargs["basis"], solve_lp(problem, **kwargs)))
+        return solved[-1][2]
+
+    mp.setattr(sweep, "solve_lp", capture)
+    sweep.epsilon_star(g, platform)
+    (one,) = solved
+    return one
+
+
+def same_duals(a, b):
+    return [(n, repr(v)) for n, v in a.duals.items()] == [(n, repr(v)) for n, v in b.duals.items()]
+
+
+def highs_duals(comp, res):
+    """The row duals of HiGHS's result on the equilibrated program
+    (highs_result), in the program's units and sense, as LPSolution.duals."""
+    senses = np.array(comp.senses)
+    le, ge, eq = senses == LE, senses == GE, senses == EQ
+    y = np.zeros(len(senses))
+    y[le] = res.ineqlin.marginals[: int(le.sum())]
+    y[ge] = -res.ineqlin.marginals[int(le.sum()) :]
+    y[eq] = res.eqlin.marginals
+    y *= _scaling(comp)[0]
+    return -y if comp.maximize else y
+
+
+class TestCertifiedLoad:
+    """A caller's basis is first solved from its kernel factor alone. One
+    that is optimal there ends the solve with no dense inverse assembled;
+    any other goes on exactly as with B0^-1 assembled at once."""
+
+    @staticmethod
+    def spy(mp, calls):
+        """Through mp, record in calls each kernel inversion ("inv"), each
+        _certify verdict and each dense inverse assembled."""
+        inv, certify, inverse = np.linalg.inv, _Simplex._certify, _Kernel.inverse
+
+        def inverting(a):
+            calls.append(("inv",))
+            return inv(a)
+
+        def certifying(self, *args):
+            calls.append(("certify", certify(self, *args)))
+            return calls[-1][1]
+
+        def assembling(self):
+            if self._inv is None:
+                calls.append(("assemble",))
+            return inverse(self)
+
+        mp.setattr(np.linalg, "inv", inverting)
+        mp.setattr(_Simplex, "_certify", certifying)
+        mp.setattr(_Kernel, "inverse", assembling)
+
+    def test_eps_star_crash_is_certified_on_the_workload_graphs(self, monkeypatch):
+        platform = sweep.default_platform()
+        for g in benchmark_graphs():
+            calls = []
+            with monkeypatch.context() as mp:
+                self.spy(mp, calls)
+                program, crash, sol = eps_star_solve(g, platform, mp)
+            assert sol.start == "warm" and sol.iterations == 0 and sol.refactors == 1
+            assert calls == [("inv",), ("certify", True)]
+            with monkeypatch.context() as mp:
+                no_certify(mp)
+                ref = solve_lp(program, basis=crash)
+            assert ref.start == "warm" and ref.iterations == 0
+            x, y = (np.array(list(d.values())) for d in (sol.values, sol.duals))
+            np.testing.assert_allclose(x, list(ref.values.values()), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(y, list(ref.duals.values()), rtol=1e-12, atol=0)
+            comp = program.compile()
+            res = highs_result(comp)
+            assert res.status == 0
+            assert sol.objective == pytest.approx(highs_objective(comp)[1], rel=1e-9)
+            np.testing.assert_allclose(x, res.x * _scaling(comp)[1], rtol=1e-9, atol=0)
+            np.testing.assert_allclose(
+                y, highs_duals(comp, res), rtol=1e-9, atol=1e-9 * np.abs(y).max()
+            )
+
+    def test_primal_infeasible_crash_falls_through(self, monkeypatch):
+        # CI's n = 40 LP-fallback graph on two processors: the eps* crash
+        # misses the deadline, and the dual simplex repairs it
+        g = generate_random_graph(GeneratorParams(n_tasks=40, mandatory_regime="man_low", seed=0))
+        calls = []
+        with monkeypatch.context() as mp:
+            self.spy(mp, calls)
+            program, crash, on = eps_star_solve(g, sweep.default_platform(2), mp)
+        with monkeypatch.context() as mp:
+            no_certify(mp)
+            off = solve_lp(program, basis=crash)
+        assert on.start == "warm" and on.optimal and on.iterations == 49
+        # one kernel inversion, which the assembled inverse reuses
+        assert calls[:3] == [("inv",), ("certify", False), ("assemble",)]
+        assert same_solve(on, off) and same_duals(on, off) and on.refactors == off.refactors
+
+    def test_dual_infeasible_basis_falls_through(self, monkeypatch):
+        # primal feasible, but x and y price in at their lower bounds: the
+        # certification gets as far as the reduced costs
+        basis = np.array([0, 0, 2, 0, 2])
+        calls = []
+        with monkeypatch.context() as mp:
+            self.spy(mp, calls)
+            dual_infeasible = _Simplex._dual_infeasible
+
+            def pricing(self, *args):
+                calls.append(("wrong sign", self.B0_inv is None, dual_infeasible(self, *args)))
+                return calls[-1][2]
+
+            mp.setattr(_Simplex, "_dual_infeasible", pricing)
+            on = solve_lp(two_var_lp(), basis=basis)
+        with monkeypatch.context() as mp:
+            no_certify(mp)
+            off = solve_lp(two_var_lp(), basis=basis)
+        # priced from the kernel factor alone, then again from B0^-1
+        assert calls[:5] == [
+            ("inv",), ("wrong sign", True, True), ("certify", False), ("assemble",),
+            ("wrong sign", False, True),
+        ]
+        assert on.start == off.start == "slack"
+        assert same_solve(on, off) and same_duals(on, off)
+
+    def test_second_solve_at_a_certified_basis_computes_no_inverse(self, monkeypatch):
+        g = benchmark_graphs()[0]
+        platform = sweep.default_platform()
+        model = sweep.MethodModel()
+        sweep.epsilon_star(g, platform, model)
+        crash = asap_basis(model.lp, model.gn, model.prec, platform.power, platform.freqs)
+        comp = model.lp.compile()
+        calls = []
+        with monkeypatch.context() as mp:
+            self.spy(mp, calls)
+            first = solve_lp(comp, basis=crash)
+            second = solve_lp(comp, basis=crash)
+        assert calls == [("inv",), ("certify", True), ("certify", True)]
+        assert first.refactors == 1 and second.refactors == 0 and second.iterations == 0
+        assert same_solve(first, second) and same_duals(first, second)
+
+
+def workload_programs():
+    """The programs the benchmark workloads solve: eps*'s on the 24 graphs,
+    the proposed and baseline programs at 0.8 eps* on the sweep graphs,
+    and the MILP of the first branch-and-bound instance."""
+    platform = sweep.default_platform()
+    programs = []
+    for i, g in enumerate(benchmark_graphs()):
+        star_model = sweep.MethodModel()
+        star, _, _ = sweep.epsilon_star(g, platform, star_model)
+        programs.append(star_model.lp)
+        if i < 4:
+            for runner in (sweep.run_proposed, sweep.run_baseline):
+                model = sweep.MethodModel()
+                runner(g, platform, 0.8 * star, model)
+                programs.append(model.program(0.8 * star))
+    fs = FrequencySet((DEFAULT_FREQUENCY_SET.freqs[0], DEFAULT_FREQUENCY_SET.freqs[-1]))
+    g = generate_random_graph(
+        GeneratorParams(n_tasks=3, mandatory_regime="man_mixed", seed=500), f_max=fs.f_max
+    )
+    eps = 0.85 * sweep.epsilon_star(g, sweep.PlatformConfig(DEFAULT_POWER_MODEL, fs, 1))[0]
+    gn = normalize_source(g)
+    programs.append(build_milp(gn, 1, fs, DEFAULT_POWER_MODEL, eps, gn.deadline).lp)
+    return programs
+
+
+class TestCompiledNonzeros:
+    def test_scaling_from_the_compiled_nonzeros_matches_np_nonzero(self):
+        # a program made by dataclasses.replace has no nonzeros kept, so
+        # _scaling finds them in A with np.nonzero
+        for lp in workload_programs():
+            comp = lp.compile()
+            found = dataclasses.replace(comp)
+            assert comp._nonzeros is not None and found._nonzeros is None
+            got, want = _scaling(comp), _scaling(found)
+            assert all(np.array_equal(a, b) for a, b in zip(got[:4], want[:4]))
+            assert all(np.array_equal(a, b) for a, b in zip(got[5], want[5]))
+
+    def test_slack_bounds_from_the_sense_masks(self):
+        # each slack's bounds as its row's sense names them
+        bounds = {LE: (0.0, INF), GE: (-INF, 0.0), EQ: (0.0, 0.0)}
+        rng = np.random.default_rng(20)
+        senses = set()
+        for _ in range(20):
+            comp = random_lp(rng).compile()
+            senses.update(comp.senses)
+            A, b, c, lo, hi = equilibrated(comp)
+            core = _Simplex(A, b, _scaling(comp)[5], c, lo, hi)
+            want_lo, want_hi = zip(*(bounds[s] for s in comp.senses))
+            assert core.lo[len(c):].tobytes() == np.array(want_lo).tobytes()
+            assert core.hi[len(c):].tobytes() == np.array(want_hi).tobytes()
+        assert senses == {LE, GE, EQ}
 
 
 class TestEquilibrate:

@@ -40,7 +40,7 @@ from impsched.taskgraph import (
     parse_task_graph,
     serialize_task_graph,
 )
-from conftest import decide_by_lp
+from conftest import benchmark_graphs, decide_by_lp
 from test_lp import highs_objective
 
 
@@ -346,8 +346,11 @@ class TestModelReuse:
             # shares with the model's compiled template
             solved.append(dataclasses.replace(problem))
             sol = solve_lp(problem, *args, **kwargs)
-            # the basis inverse the solve left in that cache
-            inverses.append(weakref.ref(_scaling(problem)[4][0][1]))
+            # the kernel factor the solve left in that cache, and the dense
+            # inverse assembled from it where the solve pivoted
+            kernel = _scaling(problem)[4][0][1]
+            held = (kernel,) if kernel._inv is None else (kernel, kernel._inv)
+            inverses.append([weakref.ref(o) for o in held])
             return sol
 
         def keeping(runner):
@@ -399,9 +402,9 @@ class TestModelReuse:
         # one template per method, gone once sweep_graph returned, although
         # the runners' arguments (the walk's models) are still kept
         assert len(walk.templates) == 2 and all(ref() is None for ref in walk.templates)
-        # and so is every basis inverse its cache held
+        # and so is every kernel factor and basis inverse its cache held
         assert len(walk.inverses) == len(walk.solved)
-        assert all(ref() is None for ref in walk.inverses)
+        assert all(ref() is None for refs in walk.inverses for ref in refs)
 
     def test_cold_outcome_holds_no_program(self, walk, lp_fallback):
         out = run_proposed(walk.g, walk.platform, walk.star)
@@ -413,23 +416,6 @@ class TestModelReuse:
             or (isinstance(o, np.ndarray) and o.ndim > 1)
         ]
 
-
-
-def benchmark_graphs():
-    """The 24 graphs of the benchmark: the sweep workload's four (n 38-44,
-    one per regime) and the 20 of the acceptance suite (n 10-38)."""
-    graphs = [
-        generate_random_graph(GeneratorParams(n_tasks=n, mandatory_regime=regime, seed=s))
-        for regime, n, s in (
-            ("man_low", 38, 7), ("man_med", 40, 3), ("man_mixed", 42, 17), ("man_high", 44, 19)
-        )
-    ]
-    for ri, regime in enumerate(("man_low", "man_med", "man_high", "man_mixed")):
-        for si, n in enumerate((10, 14, 19, 27, 38)):
-            graphs.append(generate_random_graph(
-                GeneratorParams(n_tasks=n, mandatory_regime=regime, seed=100 + 10 * ri + si)
-            ))
-    return graphs
 
 
 class TestClosedForm:
@@ -469,6 +455,29 @@ class TestClosedForm:
                         assert out.qos == pytest.approx(ref, rel=1e-9)
                     rows += 1
         assert rows == 960
+
+    def test_eps_star_lp_schedule_matches_the_closed_form(self, platform4):
+        # the LP's optimum from the crash, solved from the crash's kernel
+        # factor, and the as-soon-as-possible schedule of the full loads:
+        # starts within 1e-15 of T_d, every other figure within 1e-15 of its
+        # own value (2.9e-16 measured)
+        tol = 1e-15
+        for g in benchmark_graphs():
+            model = MethodModel()
+            _, lp, _ = epsilon_star(g, platform4, model)
+            full, T_d = model.full, model.gn.deadline
+            assert lp.start.keys() == full.start.keys()
+            assert lp.cycles.keys() == full.cycles.keys()
+            assert lp.opt_cycles.keys() == full.opt_cycles.keys()
+            for u, s in full.start.items():
+                assert abs(lp.start[u] - s) <= tol * T_d, u
+            for got, want in ((lp.durations, full.durations), (lp.cycles, full.cycles),
+                              (lp.opt_cycles, full.opt_cycles)):
+                for k, v in want.items():
+                    assert abs(got[k] - v) <= tol * abs(v), k
+            assert abs(lp.energy - full.energy) <= tol * full.energy
+            assert abs(lp.makespan - full.makespan) <= tol * T_d
+            assert abs(lp.qos - full.qos) <= tol * full.qos
 
     def test_eps_star_that_disagrees_with_the_closed_form_raises(self, platform4, monkeypatch):
         fill = sweep._fill
